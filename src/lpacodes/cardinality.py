@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceededError
-from .periodicity import Word, _dtype_for
+from .periodicity import Word, _dtype_for, _leftmost_run
 
 __all__ = [
     "Family",
@@ -117,37 +117,20 @@ def all_words(q: int, n: int) -> Iterator[Word]:
             yield Word._trusted(arr, q)
 
 
-def _any_full_window(mask: np.ndarray, width: int) -> np.ndarray:
-    """Per row: does any run of ``width`` consecutive True cells exist?"""
-    rows, t = mask.shape
-    if width > t:
-        return np.zeros(rows, dtype=bool)
-    counts = mask.cumsum(axis=1, dtype=np.int32)
-    sums = counts[:, width - 1 :].copy()
-    sums[:, 1:] -= counts[:, : t - width]
-    return (sums == width).any(axis=1)
-
-
-def _pa_bad_rows(rows: np.ndarray, l: int, p: int) -> np.ndarray:
-    n = rows.shape[1]
-    if l > n:
-        return np.zeros(rows.shape[0], dtype=bool)
-    eq = rows[:, : n - p] == rows[:, p:]
-    return _any_full_window(eq, l - p)
-
-
 @lru_cache(maxsize=None)
 def _count_cached(family: Family, q: int, n: int, l: int | None, p: int | None, k: int | None) -> int:
+    if family is not Family.RLL and l > n:
+        # No window fits in the word, so every word belongs to the family.
+        return q**n
     total = 0
     for rows in _lex_chunks(q, n):
-        if family is Family.PA:
-            bad = _pa_bad_rows(rows, l, p)
-        elif family is Family.LPA:
-            bad = np.zeros(rows.shape[0], dtype=bool)
-            for pp in range(1, min(p, l)):
-                bad |= _pa_bad_rows(rows, l, pp)
+        if family is Family.RLL:
+            bad = _leftmost_run(rows == 0, k) >= 0
         else:
-            bad = _any_full_window(rows == 0, k)
+            bad = np.zeros(rows.shape[0], dtype=bool)
+            periods = (p,) if family is Family.PA else range(1, min(p, l))
+            for pp in periods:
+                bad |= _leftmost_run(rows[:, : n - pp] == rows[:, pp:], l - pp) >= 0
         total += int(rows.shape[0] - np.count_nonzero(bad))
     return total
 

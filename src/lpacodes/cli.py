@@ -27,7 +27,7 @@ import numpy as np
 from . import cardinality, codec, segmented
 from .cardinality import CountQuery, Family
 from .errors import BudgetExceededError, CorruptCodewordError
-from .periodicity import Word, first_violation
+from .periodicity import Word, _leftmost_run, first_violation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -142,11 +142,13 @@ def cmd_check(args) -> int:
         print("check: need either --l and --p, or --rll K", file=sys.stderr)
         return EXIT_USAGE
     words = read_words(args.infile, args.q)
+    if args.rll is not None and args.rll < 1:
+        raise ValueError("run length must be at least 1")
     bad = False
     for w in words:
         if args.rll is not None:
-            index = _first_zero_run(w, args.rll)
-            if index is None:
+            index = _leftmost_run(w.symbols == 0, args.rll)
+            if index < 0:
                 print("valid")
             else:
                 print(f"invalid index={index}")
@@ -162,20 +164,6 @@ def cmd_check(args) -> int:
                 )
                 bad = True
     return EXIT_VIOLATION if bad else EXIT_OK
-
-
-def _first_zero_run(w: Word, k: int) -> int | None:
-    if k < 1:
-        raise ValueError("run length must be at least 1")
-    run = 0
-    for i, s in enumerate(w.symbols.tolist()):
-        if s == 0:
-            run += 1
-            if run >= k:
-                return i - k + 1
-        else:
-            run = 0
-    return None
 
 
 def cmd_count(args) -> int:

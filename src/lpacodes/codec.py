@@ -185,12 +185,12 @@ def repair(y: Word, params: LpaParams) -> tuple[Word, RepairStep]:
 def _repair_at(
     y: Word, params: LpaParams, violation: WindowViolation
 ) -> tuple[Word, RepairStep]:
-    step = RepairStep(
-        index=violation.index,
-        least_period=violation.least_period,
-        kernel=y[violation.index : violation.index + violation.least_period],
-    )
-    return _apply_repair(y, params, step.index, step.least_period), step
+    start, period = violation.index, violation.least_period
+    # A copy, not a view: a view would keep every intermediate state alive
+    # until the encode returns.
+    kernel = Word._trusted(y.symbols[start : start + period].copy(), params.q)
+    step = RepairStep(index=start, least_period=period, kernel=kernel)
+    return _apply_repair(y, params, start, period), step
 
 
 def inverse_repair(y: Word, params: LpaParams) -> Word:
@@ -282,17 +282,21 @@ def decode(y: Word, params: LpaParams) -> Word:
     """Invert ``encode``: peel repair records until the marker 1 remains.
 
     A revisited state means ``y`` was never produced by the encoder, so
-    the walk raises CorruptCodewordError instead of cycling forever.
+    the walk raises CorruptCodewordError instead of cycling forever.  The
+    guard is Brent's cycle detection: it keeps one saved state, replaced
+    after 1, 2, 4, ... steps, instead of a copy of every state, and still
+    catches any cycle within a few times its length plus its lead-in.
     """
     _check_state(y, params)
-    seen = {y.symbols.tobytes()}
+    saved, lap, steps = y, 1, 0
     cur = y
     while cur[-1] == 0:
         cur = inverse_repair(cur, params)
-        key = cur.symbols.tobytes()
-        if key in seen:
+        if cur == saved:
             raise CorruptCodewordError("repair records form a cycle")
-        seen.add(key)
+        steps += 1
+        if steps == lap:
+            saved, lap, steps = cur, 2 * lap, 0
     if cur[-1] != 1:
         raise CorruptCodewordError(
             f"trailing marker must be 1, found {cur[-1]}"

@@ -5,11 +5,16 @@ the alphabet {0, .., q-1}, period tests, sliding-window period-avoidance
 predicates, and the search for the first window whose least period falls
 below a target.
 
-Two code paths exist on purpose.  ``is_pa`` / ``is_lpa`` check windows
-directly against the definition and serve as reference predicates, while
-``first_violation`` locates offending windows through shift-comparison
-masks in O(len(w) * p) and is what the codec calls in its hot loop.  The
-test suite holds the two paths against each other.
+Every window question goes through one kernel, ``_leftmost_run``: the
+leftmost run of at least ``need`` True entries in a bool mask.  A window
+has period p exactly when the shift-comparison mask ``w[i] == w[i+p]``
+holds over its first l - p positions, so ``first_violation``, ``is_pa``,
+``is_lpa`` and ``least_period_below`` ask it about such masks, ``is_rll``
+asks it about ``w == 0``, and the counting engine asks it about whole
+chunks of words at once.  Whole-word period tests (``has_period``, and
+``extension_symbol`` through it) compare the two shifted copies directly.
+The independent reference oracles, written straight from the
+definitions, live in the test suite (``tests/helpers.py``), not here.
 """
 
 from __future__ import annotations
@@ -31,9 +36,6 @@ __all__ = [
     "first_violation",
     "extension_symbol",
 ]
-
-# Below this many symbols a plain Python scan beats array dispatch.
-_VECTOR_THRESHOLD = 256
 
 
 def _dtype_for(q: int):
@@ -177,15 +179,37 @@ def has_period(w: Word, p: int) -> bool:
     if not 1 <= p <= len(w) - 1:
         raise ValueError(f"period must lie in [1, {len(w) - 1}], got {p}")
     arr = w.symbols
-    return bool((arr[:-p] == arr[p:]).all())
+    return arr[:-p].tobytes() == arr[p:].tobytes()
 
 
-def _least_period_below_list(syms: list[int], p: int) -> int | None:
-    n = len(syms)
-    for pp in range(1, min(p, n)):
-        if all(syms[i] == syms[i + pp] for i in range(n - pp)):
-            return pp
-    return None
+def _leftmost_run(mask: np.ndarray, need: int) -> int | np.ndarray:
+    """Start of the leftmost run of at least ``need`` consecutive True
+    entries in each row of the bool ``mask``, or -1 where there is none.
+
+    A 1-D mask is one row and gives an int; a 2-D mask of shape
+    (rows, m) gives one start per row as an array.  Every window predicate
+    reduces to this: the length-l window starting at j has period p
+    exactly when entries j .. j+l-p-1 of the shift-comparison mask
+    ``w[i] == w[i+p]`` all hold.
+
+    Bool entries are single 0/1 bytes, so one row's run is a substring
+    search for ``need`` one-bytes, which CPython runs in C: in linear time
+    once the row has 30,000 entries, and in at most m * need byte
+    comparisons below that.  Several rows at once take one prefix-sum pass
+    instead, which avoids a Python-level call per row.
+    """
+    if mask.ndim == 1:
+        return mask.tobytes().find(b"\x01" * need)
+    rows, m = mask.shape
+    if m < need:
+        return np.full(rows, -1)
+    counts = mask.cumsum(axis=1, dtype=np.int32)
+    sums = counts[:, need - 1 :].copy()
+    sums[:, 1:] -= counts[:, : m - need]
+    hits = sums == need
+    starts = hits.argmax(axis=1)
+    starts[~hits[np.arange(rows), starts]] = -1
+    return starts
 
 
 def least_period_below(w: Word, p: int) -> int | None:
@@ -194,52 +218,38 @@ def least_period_below(w: Word, p: int) -> int | None:
         raise ValueError(f"period threshold must be at least 2, got {p}")
     if len(w) < 2:
         raise ValueError("word must have at least 2 symbols")
-    return _least_period_below_list(w.to_list(), p)
+    violation = first_violation(w, len(w), p)
+    return None if violation is None else violation.least_period
 
 
 def is_pa(w: Word, l: int, p: int) -> bool:
     """True iff no length-``l`` window of ``w`` has period exactly ``p``.
 
-    Direct definition-level scan; vacuously true when the word is shorter
-    than one window.
+    Vacuously true when the word is shorter than one window.
     """
     if l < 2:
         raise ValueError(f"window length must be at least 2, got {l}")
     if not 1 <= p < l:
         raise ValueError(f"period must lie in [1, {l - 1}], got {p}")
-    n = len(w)
-    if n < l:
+    if len(w) < l:
         return True
-    syms = w.to_list()
-    span = l - p
-    for j in range(n - l + 1):
-        if all(syms[j + i] == syms[j + i + p] for i in range(span)):
-            return False
-    return True
+    arr = w.symbols
+    return _leftmost_run(arr[:-p] == arr[p:], l - p) < 0
 
 
 def is_lpa(w: Word, l: int, p: int) -> bool:
-    """True iff no length-``l`` window of ``w`` has any period below ``p``."""
-    if l < 2:
-        raise ValueError(f"window length must be at least 2, got {l}")
-    if p < 2:
-        raise ValueError(f"period threshold must be at least 2, got {p}")
-    return all(is_pa(w, l, pp) for pp in range(1, min(p, l)))
+    """True iff no length-``l`` window of ``w`` has any period below ``p``.
+
+    Raises the same ValueErrors as ``first_violation``.
+    """
+    return first_violation(w, l, p) is None
 
 
 def is_rll(w: Word, k: int) -> bool:
     """True iff ``w`` contains no run of ``k`` consecutive zero symbols."""
     if k < 1:
         raise ValueError(f"run length must be at least 1, got {k}")
-    run = 0
-    for s in w.symbols.tolist():
-        if s == 0:
-            run += 1
-            if run >= k:
-                return False
-        else:
-            run = 0
-    return True
+    return _leftmost_run(w.symbols == 0, k) < 0
 
 
 def difference(w: Word, p: int) -> Word:
@@ -262,114 +272,29 @@ def first_violation(w: Word, l: int, p: int) -> WindowViolation | None:
     Returns None when every window is clean (including words shorter than
     one window).  Ties are broken toward the smallest window index and
     then the smallest period, so ``least_period`` really is the least
-    period of the reported window.  Runs in O(len(w) * p).
+    period of the reported window.  Runs in O(len(w) * p) once the word
+    has 30,000 symbols; shorter words can take up to len(w) * l byte
+    comparisons per period (see ``_leftmost_run``).
     """
     if l < 2:
         raise ValueError(f"window length must be at least 2, got {l}")
     if p < 2:
         raise ValueError(f"period threshold must be at least 2, got {p}")
-    n = len(w)
-    if n < l:
+    if len(w) < l:
         return None
-    if n <= _VECTOR_THRESHOLD:
-        return _first_violation_scan(w, l, p)
-    return _first_violation_vector(w, l, p)
-
-
-def _first_violation_scan(w: Word, l: int, p: int) -> WindowViolation | None:
-    syms = w.symbols.tolist()
-    n = len(syms)
-    best_index = None
-    best_period = 0
-    for period in range(1, min(p, l)):
-        need = l - period  # consecutive shift-matches certifying one window
-        run = 0
-        found = None
-        for i in range(n - period):
-            if syms[i] == syms[i + period]:
-                run += 1
-                if run >= need:
-                    found = i - need + 1
-                    break
-            else:
-                run = 0
-        if found is not None and (best_index is None or found < best_index):
-            best_index = found
-            best_period = period
-            if best_index == 0:
-                break
-    if best_index is None:
-        return None
-    return WindowViolation(best_index, best_period)
-
-
-def _first_violation_vector(w: Word, l: int, p: int) -> WindowViolation | None:
     arr = w.symbols
-    best_index = None
+    best_index = -1
     best_period = 0
     for period in range(1, min(p, l)):
-        eq = arr[:-period] == arr[period:]
-        need = l - period
-        if eq.shape[0] < need:
-            continue
-        pos = _first_true_run(eq, need)
-        if pos is None:
-            continue
-        if best_index is None or pos < best_index:
-            best_index = pos
+        start = _leftmost_run(arr[:-period] == arr[period:], l - period)
+        if start >= 0 and (best_index < 0 or start < best_index):
+            best_index = start
             best_period = period
-            if best_index == 0:
+            if start == 0:
                 break
-    if best_index is None:
+    if best_index < 0:
         return None
     return WindowViolation(best_index, best_period)
-
-
-_MAX_TILE_CANDIDATES = 4096
-
-
-def _first_true_run(eq: np.ndarray, need: int) -> int | None:
-    """Index of the leftmost run of ``need`` consecutive True, or None.
-
-    Any qualifying run covers at least one aligned tile of ``need // 2``
-    entries, so tiles are AND-reduced in one pass and only the (rare)
-    all-True tiles are resolved exactly.  Degenerate or tile-dense inputs
-    fall back to a windowed-count scan.
-    """
-    m = eq.shape[0]
-    if m < need:
-        return None
-    if need == 1:
-        pos = int(eq.argmax())
-        return pos if eq[pos] else None
-    tile = need // 2
-    tiles = m // tile
-    full = np.flatnonzero(eq[: tiles * tile].reshape(tiles, tile).all(axis=1))
-    if full.size > _MAX_TILE_CANDIDATES:
-        return _first_true_run_dense(eq, need)
-    for t in full.tolist():
-        ts = t * tile
-        lo = max(0, ts + tile - need)
-        window = eq[lo : min(m, ts + need)].tolist()
-        run = 0
-        for j, flag in enumerate(window):
-            if flag:
-                run += 1
-                if run >= need:
-                    return lo + j - need + 1
-            else:
-                run = 0
-    return None
-
-
-def _first_true_run_dense(eq: np.ndarray, need: int) -> int | None:
-    m = eq.shape[0]
-    counts = np.cumsum(eq, dtype=np.int32)
-    sums = counts[need - 1 :].copy()
-    sums[1:] -= counts[: m - need]
-    hits = sums == need
-    pos = int(hits.argmax())
-    return pos if hits[pos] else None
 
 
 def extension_symbol(w: Word) -> int:
@@ -379,14 +304,19 @@ def extension_symbol(w: Word) -> int:
     Such a symbol always exists; running out of candidates would signal a
     defect, not an input problem.
     """
-    if len(w) == 0:
+    n = len(w)
+    if n == 0:
         raise ValueError("cannot extend an empty word")
-    bound = len(w) // 2 + 2
-    syms = w.to_list()
-    syms.append(0)
+    # w + a has period pp exactly when w has period pp (vacuously so for
+    # pp = n) and a equals w[n - pp]; each such period rules out one symbol.
+    syms = w.symbols
+    taken = {
+        int(syms[n - pp])
+        for pp in range(1, min(n // 2 + 2, n + 1))
+        if pp == n or has_period(w, pp)
+    }
     for a in range(w.q):
-        syms[-1] = a
-        if _least_period_below_list(syms, bound) is None:
+        if a not in taken:
             return a
     raise AssertionError(
         "no symbol extends the word without a short period; this contradicts "

@@ -197,7 +197,12 @@ def encode(x: Word, sp: SegmentedParams) -> Word:
 
 
 def decode(y: Word, sp: SegmentedParams) -> Word:
-    """Split ``y`` at the fixed layout offsets and decode each segment."""
+    """Split ``y`` at the fixed layout offsets and decode each segment.
+
+    The separator block and the glue symbols between segments are
+    recomputed from the neighbouring codewords; any mismatch raises
+    CorruptCodewordError.
+    """
     if len(y) != sp.n + sp.total_redundancy:
         raise ValueError(
             f"expected {sp.n + sp.total_redundancy} symbols, got {len(y)}"
@@ -210,22 +215,27 @@ def decode(y: Word, sp: SegmentedParams) -> Word:
         Variant.GLUE_ONLY: 2,
     }[sp.variant]
     pieces = []
+    previous = None
     offset = 0
     for j, (length, params) in enumerate(zip(sp.segment_lengths, sp.base)):
         if j > 0:
-            if sp.variant is Variant.SEPARATOR:
-                block = y[offset + 1 : offset + 1 + sp.p].to_list()
-                if block != [1] + [0] * (sp.p - 1):
-                    raise CorruptCodewordError(
-                        f"separator block damaged before segment {j}"
-                    )
             offset += joint_len
-        pieces.append(codec.decode(y[offset : offset + length + 1], params))
+        codeword = y[offset : offset + length + 1]
+        if j > 0 and joint_len:
+            joint = y[offset - joint_len : offset].to_list()
+            separator = [1] + [0] * (sp.p - 1)
+            if sp.variant is Variant.SEPARATOR and joint[1:-1] != separator:
+                raise CorruptCodewordError(
+                    f"separator block damaged before segment {j}"
+                )
+            if (joint[0], joint[-1]) != _glue_symbols(previous, codeword, sp.p):
+                raise CorruptCodewordError(
+                    f"glue symbols damaged before segment {j}"
+                )
+        pieces.append(codec.decode(codeword, params).symbols)
+        previous = codeword
         offset += length + 1
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out = out + piece
-    return out
+    return Word._trusted(np.concatenate(pieces), sp.q)
 
 
 def prefers_separator(q: int, l: int, p: int) -> bool:

@@ -62,5 +62,13 @@ def naive_zero_run_free(seq, k):
     return True
 
 
+def naive_leftmost_run(flags, need):
+    """Smallest j with flags[j : j + need] all true, or -1."""
+    for j in range(len(flags) - need + 1):
+        if all(flags[j : j + need]):
+            return j
+    return -1
+
+
 def all_tuples(q, n):
     return product(range(q), repeat=n)

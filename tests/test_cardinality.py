@@ -51,7 +51,8 @@ def test_count_brute_agrees_with_per_word_predicates():
     # independent check: literally filter all words with the slow scanners
     for n in range(4, 9):
         words = [list(t) for t in all_tuples(2, n)]
-        for l in range(3, n + 1):
+        # windows up to two longer than the word, where every word counts
+        for l in range(3, n + 3):
             for p in range(2, l):
                 assert count_brute(A(2, n, l, p)) == sum(
                     naive_window_clean(w, l, p) for w in words

@@ -343,6 +343,25 @@ def test_segmented_decode_corrupt(tmp_path, capsys):
     assert code in (0, 3)
 
 
+def test_segmented_decode_flags_flipped_glue_symbol(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    enc = tmp_path / "enc.txt"
+    write_words(src, ["1011010001101"])
+    args = ["--q", "2", "--n", "13", "--l", "6", "--p", "3",
+            "--variant", "glue"]
+    run(capsys, "segmented", "encode", *args, "--in", str(src), "--out", str(enc))
+    word = list(enc.read_text().strip())
+    u_at = 7 + 1  # after the first 7-symbol segment's codeword
+    word[u_at] = "1" if word[u_at] == "0" else "0"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("".join(word) + "\n")
+    code, out, _ = run(
+        capsys, "segmented", "decode", *args, "--in", str(bad), "--out", "-",
+    )
+    assert code == 3
+    assert out.startswith("!corrupt")
+
+
 def test_segmented_encode_requires_infile(capsys):
     with pytest.raises(SystemExit) as info:
         main(["segmented", "encode", "--q", "2", "--n", "13", "--l", "6",

@@ -16,7 +16,7 @@ from lpacodes.codec import (
     step_statistics,
 )
 from lpacodes.errors import CorruptCodewordError, InfeasibleParametersError
-from lpacodes.periodicity import Word, first_violation, is_lpa
+from lpacodes.periodicity import Word, first_violation
 
 from helpers import all_tuples, naive_window_clean
 
@@ -83,6 +83,8 @@ def test_single_repair_bookkeeping(ex_params):
     state = Word("100010101011001", 2)
     fixed, step = repair(state, ex_params)
     assert step == RepairStep(index=3, least_period=2, kernel=Word("01", 2))
+    # the logged kernel owns its symbols instead of viewing the whole state
+    assert step.kernel.symbols.base is None
     assert fixed == Word("100100101100110", 2)
     # record = kernel, separator 1, zero pad, index digits, trailing 0
     assert fixed[7:].to_text() == "01100110"
@@ -117,6 +119,16 @@ def test_repair_fixed_point_detected(ex_params):
     assert fixed == state
     with pytest.raises(CorruptCodewordError, match="cycle"):
         decode(state, ex_params)
+
+
+@pytest.mark.parametrize(
+    "text", ["000001001101000", "000011001100100", "010011001110000"]
+)
+def test_decode_detects_cycle_after_lead_in(ex_params, text):
+    # these walks reach a fixed point only after 1, 2 and 3 inverse steps,
+    # so the guard must catch a state it did not start from
+    with pytest.raises(CorruptCodewordError, match="cycle"):
+        decode(Word(text, 2), ex_params)
 
 
 def test_repair_requires_a_violation(ex_params):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lpacodes import periodicity
 from lpacodes.periodicity import (
     Word,
     WindowViolation,
@@ -20,6 +21,7 @@ from helpers import (
     all_tuples,
     naive_first_violation,
     naive_has_period,
+    naive_leftmost_run,
     naive_window_clean,
     naive_zero_run_free,
 )
@@ -105,6 +107,22 @@ def test_has_period_matches_definition_exhaustively():
             w = Word(list(bits), 2)
             for p in range(1, n):
                 assert has_period(w, p) == naive_has_period(list(bits), p)
+
+
+@pytest.mark.parametrize("q", [300, 70000])
+def test_has_period_multibyte_symbols(q):
+    # symbols wider than one byte: 256 and 0 share their low byte
+    seq = [q - 1, 256, q - 1, 0, q - 1, 256, q - 1]
+    w = Word(seq, q)
+    for p in range(1, len(seq)):
+        assert has_period(w, p) == naive_has_period(seq, p)
+    bound = len(seq) // 2 + 2
+    want = next(
+        a
+        for a in range(q)
+        if not any(naive_has_period(seq + [a], pp) for pp in range(1, bound))
+    )
+    assert extension_symbol(w) == want
 
 
 def test_has_period_rejects_bad_p():
@@ -279,8 +297,7 @@ def test_first_violation_ternary_random():
 
 
 def test_first_violation_vector_path_agrees_with_scan():
-    # words longer than the dispatch threshold take the numpy route;
-    # compare against the list-based reference on the same inputs
+    # words of a few hundred symbols against the list-based reference
     rng = np.random.default_rng(7)
     for _ in range(40):
         n = int(rng.integers(280, 460))
@@ -325,6 +342,61 @@ def test_first_violation_argument_validation():
         first_violation(w, 1, 2)
     with pytest.raises(ValueError):
         first_violation(w, 4, 1)
+
+
+# ------------------------------------------------------------- run kernel
+
+
+@pytest.mark.parametrize("repeats", [3, 1400, 5000])
+def test_leftmost_run_skips_near_miss_runs(repeats):
+    # Thousands of runs one entry short of ``need`` come before the one
+    # planted run that qualifies; the row lengths straddle the sizes at
+    # which CPython switches substring-search algorithms.
+    need = 20
+    flags = ([True] * (need - 1) + [False]) * repeats
+    flags += [False, False] + [True] * need + [False] * 5
+    want = naive_leftmost_run(flags, need)
+    assert want == len(flags) - need - 5
+    assert periodicity._leftmost_run(np.array(flags), need) == want
+    assert periodicity._leftmost_run(np.array(flags[:-need - 5]), need) == -1
+    # the same row as a zero-run check through the public predicate
+    seq = [0 if f else 1 for f in flags]
+    w = Word(seq, 2)
+    assert not naive_zero_run_free(seq, need)
+    assert not is_rll(w, need)
+    assert naive_zero_run_free(seq, need + 1)
+    assert is_rll(w, need + 1)
+
+
+def test_leftmost_run_need_one():
+    rng = np.random.default_rng(23)
+    for n in (6, 300, 9000):
+        last_only = [False] * (n - 1) + [True]
+        coin = (rng.random(n) < 0.5).tolist()
+        for flags in ([False] * n, last_only, [True] * n, coin):
+            want = naive_leftmost_run(flags, 1)
+            assert periodicity._leftmost_run(np.array(flags), 1) == want
+            seq = [0 if f else 1 for f in flags]
+            assert is_rll(Word(seq, 2), 1) == naive_zero_run_free(seq, 1)
+    # l=3, p=3 asks for period 2 with need 1; 012... is clean until a 010
+    for n, plant in ((12, 8), (400, 350)):
+        seq = [0, 1, 2] * (n // 3)
+        seq[plant : plant + 3] = [0, 1, 0]
+        w = Word(seq, 3)
+        got = first_violation(w, 3, 3)
+        assert (got.index, got.least_period) == naive_first_violation(seq, 3, 3)
+        assert first_violation(Word([0, 1, 2] * (n // 3), 3), 3, 3) is None
+
+
+def test_leftmost_run_rows_match_single_rows():
+    rng = np.random.default_rng(31)
+    for m in (1, 17, 300, 700):
+        for need in (1, 2, 5, 13):
+            mask = rng.random((40, m)) < 0.85
+            got = periodicity._leftmost_run(mask, need)
+            want = [periodicity._leftmost_run(row, need) for row in mask]
+            assert got.tolist() == want
+            assert want == [naive_leftmost_run(row.tolist(), need) for row in mask]
 
 
 # ---------------------------------------------------------- extension_symbol

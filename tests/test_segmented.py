@@ -3,7 +3,7 @@ import pytest
 
 from lpacodes import segmented
 from lpacodes.errors import CorruptCodewordError, InfeasibleParametersError
-from lpacodes.periodicity import Word, is_lpa
+from lpacodes.periodicity import Word
 from lpacodes.segmented import Variant
 
 from helpers import all_tuples, naive_window_clean
@@ -70,7 +70,7 @@ def _assert_exhaustive_round_trip(sp):
         x = Word(list(tup), sp.q)
         y = segmented.encode(x, sp)
         assert len(y) == sp.n + sp.total_redundancy
-        assert is_lpa(y, sp.l, sp.p)
+        assert naive_window_clean(y.to_list(), sp.l, sp.p)
         assert segmented.decode(y, sp) == x
 
 
@@ -114,7 +114,7 @@ def test_ternary_separator_round_trip():
     for _ in range(300):
         x = Word(rng.integers(0, 3, size=16, dtype=np.int64), 3)
         y = segmented.encode(x, sp)
-        assert is_lpa(y, 6, 3)
+        assert naive_window_clean(y.to_list(), 6, 3)
         assert segmented.decode(y, sp) == x
 
 
@@ -138,6 +138,23 @@ def test_decode_rejects_damaged_separator_block():
     syms[start : start + sp.p] = [0] * sp.p
     with pytest.raises(CorruptCodewordError):
         segmented.decode(Word(syms, 2), sp)
+
+
+@pytest.mark.parametrize("variant", [Variant.GLUE_ONLY, Variant.SEPARATOR])
+def test_decode_rejects_flipped_glue_symbols(variant):
+    sp = segmented.plan(2, 13, 6, 3, variant)
+    u_at = sp.segment_lengths[0] + 1
+    w_at = u_at + (2 if variant is Variant.GLUE_ONLY else sp.p + 2) - 1
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        x = Word(rng.integers(0, 2, size=sp.n, dtype=np.int64), 2)
+        y = segmented.encode(x, sp)
+        assert segmented.decode(y, sp) == x
+        for at in (u_at, w_at):
+            syms = y.to_list()
+            syms[at] ^= 1
+            with pytest.raises(CorruptCodewordError, match="glue"):
+                segmented.decode(Word(syms, 2), sp)
 
 
 def test_encode_validates_input_length():
