@@ -324,16 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_qnp(p, with_l=False):
+    def add_qnp(p):
         p.add_argument("--q", type=int, required=True, help="alphabet size")
         p.add_argument("--n", type=int, required=True, help="message length")
-        if with_l:
-            p.add_argument("--l", type=int, required=True, help="window length")
         p.add_argument("--p", type=int, required=True, help="least-period target")
-        p.add_argument("--json", action="store_true", help="print JSON")
 
     p = sub.add_parser("params", help="derive code parameters")
     add_qnp(p)
+    p.add_argument("--json", action="store_true", help="print JSON")
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("encode", help="encode a word file")
@@ -357,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--rll", type=int, help="check zero runs of this length instead")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("count", help="count a word family")
@@ -374,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="repair-step statistics")
     add_qnp(p)
+    p.add_argument("--json", action="store_true", help="print JSON")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exhaustive", action="store_true")
     group.add_argument("--samples", type=int, default=0)

@@ -72,10 +72,6 @@ class SegmentedParams:
             raise ValueError("segment count must match k")
 
 
-def _segment_window(variant: Variant, l: int) -> int:
-    return l // 2 if variant is Variant.HALF_WINDOW else l
-
-
 def _flank_length(p: int) -> int:
     # Long enough that (flank + glue symbol) inherits any period below p
     # from a surrounding window, and short enough that one symbol can
@@ -83,12 +79,47 @@ def _flank_length(p: int) -> int:
     return max(p - 1, 2 * p - 4)
 
 
+def _layout(
+    variant: Variant, l: int, p: int
+) -> tuple[int, int, tuple[int, ...] | None]:
+    """Everything that differs between the layouts: the per-segment window,
+    the least l at which a window that misses part of a joint still holds
+    one full flank plus its glue symbol, and the block between the two glue
+    symbols of a joint (None: segments abut with no joint at all)."""
+    flank = _flank_length(p)
+    if variant is Variant.HALF_WINDOW:
+        return l // 2, 0, None
+    if variant is Variant.SEPARATOR:
+        return l, p + flank, (1,) + (0,) * (p - 1)
+    return l, 2 * flank + 1, ()
+
+
+def _joint_length(variant: Variant, l: int, p: int) -> int:
+    block = _layout(variant, l, p)[2]
+    return 0 if block is None else len(block) + 2
+
+
+def _joint(sp: SegmentedParams, left: Word, right: Word) -> list[int]:
+    """Symbols between two neighbouring codewords: ``u block w``, where u
+    extends the left codeword's tail and w guards the right codeword's head
+    (chosen through the reversal symmetry of periods)."""
+    block = _layout(sp.variant, sp.l, sp.p)[2]
+    if block is None:
+        return []
+    f = min(_flank_length(sp.p), len(left), len(right))
+    u = extension_symbol(left[len(left) - f :])
+    w = extension_symbol(right[:f].reversed())
+    return [u, *block, w]
+
+
 def plan(q: int, n: int, l: int, p: int, variant: Variant) -> SegmentedParams:
     """Smallest segment count k that makes ``variant`` work at (q, n, l, p).
 
-    The k-search checks the longest segment (length ceil(n/k)) against the
-    repair-record inequality and additionally requires the trailing
-    remainder segment to still cover one window.
+    A segment of m symbols fits its repair record's index field exactly
+    when m <= q**width + window - 2, so k starts at the least count whose
+    longest segment (length ceil(n/k)) fits; from there k only grows until
+    the trailing remainder segment covers one window too, and gives up once
+    the longest segment no longer does.
     """
     variant = Variant(variant)
     if q < 2:
@@ -97,36 +128,29 @@ def plan(q: int, n: int, l: int, p: int, variant: Variant) -> SegmentedParams:
         raise ValueError(f"least-period target must be at least 2, got {p}")
     if n < 1:
         raise ValueError(f"message length must be positive, got {n}")
-    # Boundary soundness: a window that misses part of a separator block
-    # must still contain one full flank plus its glue symbol, so the glue
-    # variants need enough room relative to the flank length.
-    flank = _flank_length(p)
-    if variant is Variant.SEPARATOR and l < p + flank:
+    seg_window, least_l, _ = _layout(variant, l, p)
+    if l < least_l:
+        name = variant.name.lower().replace("_", "-")
         raise InfeasibleParametersError(
-            f"separator layout needs l >= {p + flank} at p = {p}, got {l}"
+            f"{name} layout needs l >= {least_l} at p = {p}, got {l}"
         )
-    if variant is Variant.GLUE_ONLY and l < 2 * flank + 1:
-        raise InfeasibleParametersError(
-            f"glue-only layout needs l >= {2 * flank + 1} at p = {p}, got {l}"
-        )
-    seg_window = _segment_window(variant, l)
     if seg_window < p + 2:
         raise InfeasibleParametersError(
             f"per-segment window {seg_window} cannot hold a repair record "
             f"for period target {p}"
         )
     width = seg_window - p - 1
-    for k in range(1, n + 1):
+    longest = q**width + seg_window - 2
+    for k in range(-(-n // longest), n + 1):
         head = -(-n // k)
         last = n - (k - 1) * head
-        if last < seg_window or head < seg_window:
+        if head < seg_window:
+            break
+        if last < seg_window:
             continue
-        if q**width < head - seg_window + 2:
-            continue
-        lengths = (head,) * (k - 1) + (last,)
-        base = tuple(
+        full, tail = (
             LpaParams(q=q, n=m, p=p, l=seg_window, index_width=width)
-            for m in lengths
+            for m in (head, last)
         )
         return SegmentedParams(
             variant=variant,
@@ -135,32 +159,14 @@ def plan(q: int, n: int, l: int, p: int, variant: Variant) -> SegmentedParams:
             l=l,
             p=p,
             k=k,
-            segment_lengths=lengths,
-            base=base,
-            total_redundancy=_redundancy(variant, k, p),
+            segment_lengths=(head,) * (k - 1) + (last,),
+            base=(full,) * (k - 1) + (tail,),
+            total_redundancy=k + (k - 1) * _joint_length(variant, l, p),
         )
     raise InfeasibleParametersError(
         f"no segment count in [1, {n}] supports the {variant.name} layout "
         f"for q={q}, n={n}, l={l}, p={p}"
     )
-
-
-def _redundancy(variant: Variant, k: int, p: int) -> int:
-    if variant is Variant.HALF_WINDOW:
-        return k
-    if variant is Variant.SEPARATOR:
-        return (p + 3) * (k - 1) + 1
-    return 3 * k - 2
-
-
-def _glue_symbols(left: Word, right: Word, p: int) -> tuple[int, int]:
-    """Symbols flanking a boundary: u extends the left codeword's tail,
-    w guards the right codeword's head (chosen through the reversal
-    symmetry of periods)."""
-    f = min(_flank_length(p), len(left), len(right))
-    u = extension_symbol(left[len(left) - f :])
-    w = extension_symbol(right[:f].reversed())
-    return u, w
 
 
 def encode(x: Word, sp: SegmentedParams) -> Word:
@@ -169,27 +175,17 @@ def encode(x: Word, sp: SegmentedParams) -> Word:
         raise ValueError(f"message must have {sp.n} symbols, got {len(x)}")
     if x.q != sp.q:
         raise ValueError(f"message alphabet {x.q} does not match q={sp.q}")
-    segments = []
+    parts: list[np.ndarray] = []
+    previous = None
     offset = 0
     for length, params in zip(sp.segment_lengths, sp.base):
         piece, _ = codec.encode(x[offset : offset + length], params)
-        segments.append(piece)
-        offset += length
-
-    dtype = segments[0].symbols.dtype
-    parts: list[np.ndarray] = []
-    for j, piece in enumerate(segments):
-        if j > 0:
-            u, w = _glue_symbols(segments[j - 1], piece, sp.p)
-            if sp.variant is Variant.SEPARATOR:
-                joint = [u, 1] + [0] * (sp.p - 1) + [w]
-            elif sp.variant is Variant.GLUE_ONLY:
-                joint = [u, w]
-            else:
-                joint = []
-            if joint:
-                parts.append(np.asarray(joint, dtype=dtype))
+        if previous is not None:
+            joint = _joint(sp, previous, piece)
+            parts.append(np.asarray(joint, dtype=piece.symbols.dtype))
         parts.append(piece.symbols)
+        previous = piece
+        offset += length
     out = Word._trusted(np.concatenate(parts), sp.q)
     if len(out) != sp.n + sp.total_redundancy:
         raise AssertionError("layout produced the wrong output length")
@@ -199,9 +195,8 @@ def encode(x: Word, sp: SegmentedParams) -> Word:
 def decode(y: Word, sp: SegmentedParams) -> Word:
     """Split ``y`` at the fixed layout offsets and decode each segment.
 
-    The separator block and the glue symbols between segments are
-    recomputed from the neighbouring codewords; any mismatch raises
-    CorruptCodewordError.
+    Each joint between segments is rebuilt from the neighbouring codewords;
+    any mismatch raises CorruptCodewordError.
     """
     if len(y) != sp.n + sp.total_redundancy:
         raise ValueError(
@@ -209,32 +204,24 @@ def decode(y: Word, sp: SegmentedParams) -> Word:
         )
     if y.q != sp.q:
         raise ValueError(f"word alphabet {y.q} does not match q={sp.q}")
-    joint_len = {
-        Variant.HALF_WINDOW: 0,
-        Variant.SEPARATOR: sp.p + 2,
-        Variant.GLUE_ONLY: 2,
-    }[sp.variant]
+    joint_len = _joint_length(sp.variant, sp.l, sp.p)
     pieces = []
     previous = None
     offset = 0
     for j, (length, params) in enumerate(zip(sp.segment_lengths, sp.base)):
+        start = offset + joint_len if j > 0 else offset
+        codeword = y[start : start + length + 1]
         if j > 0:
-            offset += joint_len
-        codeword = y[offset : offset + length + 1]
-        if j > 0 and joint_len:
-            joint = y[offset - joint_len : offset].to_list()
-            separator = [1] + [0] * (sp.p - 1)
-            if sp.variant is Variant.SEPARATOR and joint[1:-1] != separator:
+            found = y.symbols[offset:start].tolist()
+            expected = _joint(sp, previous, codeword)
+            if found != expected:
+                at = next(i for i, (a, b) in enumerate(zip(found, expected)) if a != b)
                 raise CorruptCodewordError(
-                    f"separator block damaged before segment {j}"
-                )
-            if (joint[0], joint[-1]) != _glue_symbols(previous, codeword, sp.p):
-                raise CorruptCodewordError(
-                    f"glue symbols damaged before segment {j}"
+                    f"glue joint before segment {j} is damaged at its symbol {at}"
                 )
         pieces.append(codec.decode(codeword, params).symbols)
         previous = codeword
-        offset += length + 1
+        offset = start + length + 1
     return Word._trusted(np.concatenate(pieces), sp.q)
 
 

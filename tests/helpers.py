@@ -70,5 +70,31 @@ def naive_leftmost_run(flags, need):
     return -1
 
 
+def naive_plan(q, n, l, p, variant):
+    """(k, segment lengths, total redundancy) of the smallest segment count
+    k = 1, 2, ... whose segments each hold a window and whose longest
+    segment fits the index field, or None when the layout or every k in
+    [1, n] is infeasible.
+
+    The variant is a ``Variant`` value: "half", "sep" or "glue".  A window
+    that misses part of a joint must still hold one flank of
+    max(p - 1, 2p - 4) symbols plus its glue symbol, and a segment's
+    window must hold a repair record (at least p + 2 symbols).
+    """
+    flank = max(p - 1, 2 * p - 4)
+    least_l = {"half": 0, "sep": p + flank, "glue": 2 * flank + 1}[variant]
+    window = l // 2 if variant == "half" else l
+    if l < least_l or window < p + 2:
+        return None
+    joint = {"half": 0, "sep": p + 2, "glue": 2}[variant]
+    width = window - p - 1
+    for k in range(1, n + 1):
+        head = -(-n // k)
+        last = n - (k - 1) * head
+        if head >= window and last >= window and q**width >= head - window + 2:
+            return k, (head,) * (k - 1) + (last,), k + (k - 1) * joint
+    return None
+
+
 def all_tuples(q, n):
     return product(range(q), repeat=n)

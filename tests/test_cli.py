@@ -369,6 +369,21 @@ def test_segmented_encode_requires_infile(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encode", "--q", "2", "--n", "14", "--p", "4", "--in", "x", "--out", "-"],
+        ["decode", "--q", "2", "--n", "14", "--p", "4", "--in", "x", "--out", "-"],
+        ["check", "--q", "2", "--l", "8", "--p", "4", "--in", "x"],
+    ],
+)
+def test_json_flag_only_on_commands_that_print_reports(argv):
+    # encode, decode and check print words or verdicts, never a report
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--json"])
+    assert info.value.code == 2
+
+
 # ----------------------------------------------------------- input parsing
 
 

@@ -6,7 +6,7 @@ from lpacodes.errors import CorruptCodewordError, InfeasibleParametersError
 from lpacodes.periodicity import Word
 from lpacodes.segmented import Variant
 
-from helpers import all_tuples, naive_window_clean
+from helpers import all_tuples, naive_plan, naive_window_clean
 
 
 # ------------------------------------------------------------------ plans
@@ -44,6 +44,23 @@ def test_plan_variant_preconditions():
     # half-window segments must fit a repair record
     with pytest.raises(InfeasibleParametersError):
         segmented.plan(2, 1000, 5, 4, Variant.HALF_WINDOW)
+
+
+def test_plan_matches_naive_k_walk():
+    """plan solves for its starting k; the oracle walks k from 1."""
+    for q in (2, 3):
+        for p in range(2, 6):
+            for l in range(2, 17):
+                for n in [*range(1, 61), 1000, 1009, 4099]:
+                    for variant in Variant:
+                        expected = naive_plan(q, n, l, p, variant.value)
+                        if expected is None:
+                            with pytest.raises(InfeasibleParametersError):
+                                segmented.plan(q, n, l, p, variant)
+                            continue
+                        sp = segmented.plan(q, n, l, p, variant)
+                        got = (sp.k, sp.segment_lengths, sp.total_redundancy)
+                        assert got == expected, (q, n, l, p, variant)
 
 
 def test_plan_k1_is_the_plain_code():
@@ -142,19 +159,28 @@ def test_decode_rejects_damaged_separator_block():
 
 @pytest.mark.parametrize("variant", [Variant.GLUE_ONLY, Variant.SEPARATOR])
 def test_decode_rejects_flipped_glue_symbols(variant):
-    sp = segmented.plan(2, 13, 6, 3, variant)
-    u_at = sp.segment_lengths[0] + 1
-    w_at = u_at + (2 if variant is Variant.GLUE_ONLY else sp.p + 2) - 1
+    # every symbol of every joint (u, then for SEPARATOR the 1 and each 0,
+    # then w) is rebuilt from the neighbouring codewords and compared
+    sp = segmented.plan(2, 20, 6, 3, variant)
+    assert sp.k >= 3
+    joint_len = 2 if variant is Variant.GLUE_ONLY else sp.p + 2
     rng = np.random.default_rng(17)
     for _ in range(20):
         x = Word(rng.integers(0, 2, size=sp.n, dtype=np.int64), 2)
         y = segmented.encode(x, sp)
         assert segmented.decode(y, sp) == x
-        for at in (u_at, w_at):
-            syms = y.to_list()
-            syms[at] ^= 1
-            with pytest.raises(CorruptCodewordError, match="glue"):
-                segmented.decode(Word(syms, 2), sp)
+        start = 0
+        for j, length in enumerate(sp.segment_lengths[:-1], start=1):
+            start += length + 1
+            for at in range(joint_len):
+                syms = y.to_list()
+                syms[start + at] ^= 1
+                with pytest.raises(
+                    CorruptCodewordError,
+                    match=f"glue joint before segment {j} .* symbol {at}$",
+                ):
+                    segmented.decode(Word(syms, 2), sp)
+            start += joint_len
 
 
 def test_encode_validates_input_length():
