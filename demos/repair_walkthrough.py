@@ -6,8 +6,15 @@ end of the word (kernel, period, window index) for the decoder to undo
 everything in reverse.
 """
 
-from lpacodes import Word, decode, derive_params, encode, first_violation
-from lpacodes.codec import inverse_repair
+from lpacodes import (
+    Word,
+    decode,
+    derive_params,
+    encode,
+    first_violation,
+    inverse_repair,
+    repair,
+)
 
 q, n, p = 2, 14, 4
 params = derive_params(q, n, p)
@@ -17,15 +24,18 @@ print(f"derived window length l = {params.l}, index field = {params.index_width}
 x = Word("10001010101100", 2)
 print(f"message:        {x.to_text()}")
 
-codeword, trace = encode(x, params, record_states=True)
+# Encoding is exactly this loop: repair until no window offends.
 state = x + Word([1], q)
 print(f"start state:    {state.to_text()}   (message + terminal flag 1)")
-for step, after in zip(trace.steps, trace.intermediate_states):
+while first_violation(state, params.l, params.p) is not None:
+    state, step = repair(state, params)
     print(
         f"  window at {step.index} repeats every {step.least_period} "
         f"symbols (kernel {step.kernel.to_text()}); remove it, log it:"
     )
-    print(f"                {after.to_text()}")
+    print(f"                {state.to_text()}")
+codeword = state
+assert codeword == encode(x, params)[0]
 print(f"codeword:       {codeword.to_text()}")
 
 check = first_violation(codeword, params.l, params.p)

@@ -7,6 +7,9 @@ zero padding, the window index in fixed-width base-q digits, and a
 trailing ``0``.  The record is exactly one window long, so every repair
 preserves the overall length.  Decoding walks those records backwards
 until the original marker ``1`` reappears at the end.
+
+(q, n, p) fix the code: the window l is the least whose l - p - 1 index
+digits can address every window start, n <= q**(l - p - 1) + l - 2.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CorruptCodewordError, InfeasibleParametersError
+from .errors import CorruptCodewordError
 from .periodicity import Word, WindowViolation, first_violation
 
 __all__ = [
@@ -40,20 +43,16 @@ __all__ = [
 class LpaParams:
     """Parameters of one single-redundancy code instance.
 
-    q       -- alphabet size
-    n       -- message length (codewords have n + 1 symbols)
-    p       -- least-period target: no codeword window has a period < p
-    l       -- window length
-    index_width -- digits reserved for a window index inside one record;
-                   always l - p - 1, kept explicit because the decoder
-                   slices by it
+    q -- alphabet size
+    n -- message length (codewords have n + 1 symbols)
+    p -- least-period target: no codeword window has a period < p
+    l -- window length
     """
 
     q: int
     n: int
     p: int
     l: int
-    index_width: int
 
     def __post_init__(self):
         if self.q < 2:
@@ -68,34 +67,31 @@ class LpaParams:
             raise ValueError(
                 f"window length {self.l} exceeds message length {self.n}"
             )
-        if self.index_width != self.l - self.p - 1:
-            raise ValueError(
-                f"index width must equal l - p - 1 = {self.l - self.p - 1}, "
-                f"got {self.index_width}"
-            )
-        if self.q ** self.index_width < self.n - self.l + 2:
+        if self.n > _capacity(self.q, self.l, self.p):
             raise ValueError(
                 f"index field of {self.index_width} base-{self.q} digits cannot "
                 f"address {self.n - self.l + 2} window positions"
             )
 
+    @property
+    def index_width(self) -> int:
+        """Digits of a window index inside one record: what is left of the
+        window after the p-symbol kernel block and the trailing 0."""
+        return self.l - self.p - 1
 
-def _ceil_log(q: int, m: int) -> int:
-    """Smallest e >= 0 with q**e >= m (m >= 1)."""
-    e = 0
-    v = 1
-    while v < m:
-        v *= q
-        e += 1
-    return e
+
+def _capacity(q: int, l: int, p: int) -> int:
+    """Longest message a window of l symbols can serve: a codeword of n + 1
+    symbols has n - l + 2 window starts, and the l - p - 1 index digits of
+    a record address q**(l - p - 1) of them."""
+    return q ** (l - p - 1) + l - 2
 
 
 def derive_params(q: int, n: int, p: int) -> LpaParams:
-    """Smallest window length that leaves room for the repair record.
+    """Least window length whose record can index every window start.
 
-    Scans l upward from p + 2 until l >= ceil(log_q(n - l + 2)) + p + 1;
-    the leftover l - p - 1 digits then index every window start of a
-    length-(n+1) word.
+    The capacity grows with l and reaches n by l = n at the latest, so
+    the least l with n <= q**(l - p - 1) + l - 2 always exists.
     """
     if q < 2:
         raise ValueError(f"alphabet size must be at least 2, got {q}")
@@ -106,13 +102,8 @@ def derive_params(q: int, n: int, p: int) -> LpaParams:
             f"message length must exceed p + 2 = {p + 2} to fit one repair "
             f"record, got {n}"
         )
-    for l in range(p + 2, n + 1):
-        if l >= _ceil_log(q, n - l + 2) + p + 1:
-            return LpaParams(q=q, n=n, p=p, l=l, index_width=l - p - 1)
-    raise InfeasibleParametersError(
-        f"no window length in [{p + 2}, {n}] fits a repair record for "
-        f"q={q}, n={n}, p={p}"
-    )
+    l = next(l for l in range(p + 2, n + 1) if n <= _capacity(q, l, p))
+    return LpaParams(q=q, n=n, p=p, l=l)
 
 
 @dataclass(frozen=True)
@@ -126,14 +117,9 @@ class RepairStep:
 
 @dataclass(frozen=True)
 class EncodeTrace:
-    """Repair steps taken by one encode call, in order.
-
-    ``intermediate_states`` holds the word after each step when state
-    recording was requested, aligned with ``steps``.
-    """
+    """Repair steps taken by one encode call, in order."""
 
     steps: tuple[RepairStep, ...]
-    intermediate_states: tuple[Word, ...] | None = None
 
 
 def _index_digits(value: int, width: int, q: int) -> list[int]:
@@ -244,14 +230,14 @@ def _append_marker(x: Word, params: LpaParams) -> Word:
     )
 
 
-def encode(
-    x: Word, params: LpaParams, *, record_states: bool = False
-) -> tuple[Word, EncodeTrace]:
+def encode(x: Word, params: LpaParams) -> tuple[Word, EncodeTrace]:
     """Append the marker 1 and repair until every window is clean.
 
     Returns the codeword of n + 1 symbols together with the trace of the
-    repairs applied.  Termination is guaranteed; the iteration budget of
-    q**4 * (n + 1) only trips on an implementation defect.
+    repairs applied.  The states in between are what ``repair`` returns
+    when called in a loop on the marked message.  Termination is
+    guaranteed; the iteration budget of q**4 * (n + 1) only trips on an
+    implementation defect.
     """
     if len(x) != params.n:
         raise ValueError(f"message must have {params.n} symbols, got {len(x)}")
@@ -259,7 +245,6 @@ def encode(
         raise ValueError(f"message alphabet {x.q} does not match q={params.q}")
     y = _append_marker(x, params)
     steps: list[RepairStep] = []
-    states: list[Word] | None = [] if record_states else None
     budget = params.q**4 * (params.n + 1)
     while (violation := first_violation(y, params.l, params.p)) is not None:
         if len(steps) >= budget:
@@ -269,13 +254,7 @@ def encode(
             )
         y, step = _repair_at(y, params, violation)
         steps.append(step)
-        if states is not None:
-            states.append(y)
-    trace = EncodeTrace(
-        steps=tuple(steps),
-        intermediate_states=tuple(states) if states is not None else None,
-    )
-    return y, trace
+    return y, EncodeTrace(steps=tuple(steps))
 
 
 def decode(y: Word, params: LpaParams) -> Word:

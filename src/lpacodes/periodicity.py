@@ -20,7 +20,7 @@ definitions, live in the test suite (``tests/helpers.py``), not here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -84,10 +84,6 @@ class Word:
         obj._q = q
         obj._hash = None
         return obj
-
-    @classmethod
-    def from_symbols(cls, symbols: Iterable[int], q: int) -> "Word":
-        return cls(symbols, q)
 
     @classmethod
     def from_text(cls, text: str, q: int) -> "Word":

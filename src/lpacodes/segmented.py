@@ -14,21 +14,24 @@ layouts are supported:
   no zero block, viable once the window comfortably spans both flanks;
   costs 3k - 2 symbols.
 
-``plan`` finds the smallest k for a layout, ``select_construction`` picks
-the cheapest feasible layout.
+Given the layout and (q, n, l, p), the segment count k fixes everything
+else: ``SegmentedParams`` derives the segment lengths, each segment's
+``LpaParams`` and the redundancy from k.  ``plan`` finds the smallest k
+for a layout, ``select_construction`` picks the cheapest feasible layout.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
 from . import codec
-from .codec import LpaParams
+from .codec import LpaParams, _capacity
 from .errors import CorruptCodewordError, InfeasibleParametersError
 from .periodicity import Word, extension_symbol
 
@@ -53,7 +56,16 @@ class Variant(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SegmentedParams:
-    """Resolved layout: how the message splits and what each piece uses."""
+    """A segmented layout, fixed by the segment count k: k - 1 segments of
+    ceil(n/k) symbols and a tail of what remains, each encoded on its own
+    against the layout's per-segment window.
+
+    ``segment_lengths``, ``base`` (each segment's ``LpaParams``) and
+    ``total_redundancy`` are derived from these fields.  Raises
+    InfeasibleParametersError when l is too short for the layout, and
+    ValueError when k leaves a segment that cannot hold a window or whose
+    windows its index field cannot address.
+    """
 
     variant: Variant
     q: int
@@ -61,15 +73,38 @@ class SegmentedParams:
     l: int
     p: int
     k: int
-    segment_lengths: tuple[int, ...]
-    base: tuple[LpaParams, ...]
-    total_redundancy: int
 
     def __post_init__(self):
-        if sum(self.segment_lengths) != self.n:
-            raise ValueError("segment lengths must sum to the message length")
-        if len(self.segment_lengths) != self.k or len(self.base) != self.k:
-            raise ValueError("segment count must match k")
+        object.__setattr__(self, "variant", Variant(self.variant))
+        if self.k < 1:
+            raise ValueError(f"segment count must be at least 1, got {self.k}")
+        self._pieces  # building them checks k
+
+    @cached_property
+    def _pieces(self) -> tuple[LpaParams, LpaParams]:
+        """Parameters of a full segment and of the tail segment."""
+        window = _segment_window(self.variant, self.l, self.p)
+        head = -(-self.n // self.k)
+        return tuple(
+            LpaParams(q=self.q, n=m, p=self.p, l=window)
+            for m in (head, self.n - (self.k - 1) * head)
+        )
+
+    @cached_property
+    def base(self) -> tuple[LpaParams, ...]:
+        full, tail = self._pieces
+        return (full,) * (self.k - 1) + (tail,)
+
+    @cached_property
+    def segment_lengths(self) -> tuple[int, ...]:
+        return tuple(params.n for params in self.base)
+
+    @cached_property
+    def total_redundancy(self) -> int:
+        """One symbol per segment plus ``u block w`` per joint."""
+        block = _layout(self.variant, self.l, self.p)[2]
+        joint = 0 if block is None else len(block) + 2
+        return self.k + (self.k - 1) * joint
 
 
 def _flank_length(p: int) -> int:
@@ -94,9 +129,20 @@ def _layout(
     return l, 2 * flank + 1, ()
 
 
-def _joint_length(variant: Variant, l: int, p: int) -> int:
-    block = _layout(variant, l, p)[2]
-    return 0 if block is None else len(block) + 2
+def _segment_window(variant: Variant, l: int, p: int) -> int:
+    """The per-segment window, once l meets the layout's preconditions."""
+    window, least_l, _ = _layout(variant, l, p)
+    if l < least_l:
+        name = variant.name.lower().replace("_", "-")
+        raise InfeasibleParametersError(
+            f"{name} layout needs l >= {least_l} at p = {p}, got {l}"
+        )
+    if window < p + 2:
+        raise InfeasibleParametersError(
+            f"per-segment window {window} cannot hold a repair record "
+            f"for period target {p}"
+        )
+    return window
 
 
 def _joint(sp: SegmentedParams, left: Word, right: Word) -> list[int]:
@@ -115,11 +161,12 @@ def _joint(sp: SegmentedParams, left: Word, right: Word) -> list[int]:
 def plan(q: int, n: int, l: int, p: int, variant: Variant) -> SegmentedParams:
     """Smallest segment count k that makes ``variant`` work at (q, n, l, p).
 
-    A segment of m symbols fits its repair record's index field exactly
-    when m <= q**width + window - 2, so k starts at the least count whose
-    longest segment (length ceil(n/k)) fits; from there k only grows until
-    the trailing remainder segment covers one window too, and gives up once
-    the longest segment no longer does.
+    A segment fits its repair record's index field exactly when it is no
+    longer than the capacity of the per-segment window (the rule that
+    ``derive_params`` uses), so k starts at the least count whose longest
+    segment (length ceil(n/k)) fits; from there k only grows until the
+    tail segment covers one window too, and gives up once the longest
+    segment no longer does.
     """
     variant = Variant(variant)
     if q < 2:
@@ -128,41 +175,13 @@ def plan(q: int, n: int, l: int, p: int, variant: Variant) -> SegmentedParams:
         raise ValueError(f"least-period target must be at least 2, got {p}")
     if n < 1:
         raise ValueError(f"message length must be positive, got {n}")
-    seg_window, least_l, _ = _layout(variant, l, p)
-    if l < least_l:
-        name = variant.name.lower().replace("_", "-")
-        raise InfeasibleParametersError(
-            f"{name} layout needs l >= {least_l} at p = {p}, got {l}"
-        )
-    if seg_window < p + 2:
-        raise InfeasibleParametersError(
-            f"per-segment window {seg_window} cannot hold a repair record "
-            f"for period target {p}"
-        )
-    width = seg_window - p - 1
-    longest = q**width + seg_window - 2
-    for k in range(-(-n // longest), n + 1):
+    seg_window = _segment_window(variant, l, p)
+    for k in range(-(-n // _capacity(q, seg_window, p)), n + 1):
         head = -(-n // k)
-        last = n - (k - 1) * head
         if head < seg_window:
             break
-        if last < seg_window:
-            continue
-        full, tail = (
-            LpaParams(q=q, n=m, p=p, l=seg_window, index_width=width)
-            for m in (head, last)
-        )
-        return SegmentedParams(
-            variant=variant,
-            q=q,
-            n=n,
-            l=l,
-            p=p,
-            k=k,
-            segment_lengths=(head,) * (k - 1) + (last,),
-            base=(full,) * (k - 1) + (tail,),
-            total_redundancy=k + (k - 1) * _joint_length(variant, l, p),
-        )
+        if n - (k - 1) * head >= seg_window:
+            return SegmentedParams(variant=variant, q=q, n=n, l=l, p=p, k=k)
     raise InfeasibleParametersError(
         f"no segment count in [1, {n}] supports the {variant.name} layout "
         f"for q={q}, n={n}, l={l}, p={p}"
@@ -204,7 +223,8 @@ def decode(y: Word, sp: SegmentedParams) -> Word:
         )
     if y.q != sp.q:
         raise ValueError(f"word alphabet {y.q} does not match q={sp.q}")
-    joint_len = _joint_length(sp.variant, sp.l, sp.p)
+    # all k - 1 joints have the same length
+    joint_len = (sp.total_redundancy - sp.k) // max(sp.k - 1, 1)
     pieces = []
     previous = None
     offset = 0

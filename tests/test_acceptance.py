@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lpacodes import cardinality as card
-from lpacodes import segmented
+from lpacodes import codec, segmented
 from lpacodes.cardinality import CountQuery, Family, all_words, count_brute
 from lpacodes.codec import (
     LpaParams,
@@ -61,13 +61,13 @@ def test_01_worked_example_two_step_repair(capsys):
         x = Word("10001010101100", 2)
         encode(x, params)  # warm-up, keep the timed call honest
         t0 = time.perf_counter()
-        y, trace = encode(x, params, record_states=True)
+        y, trace = encode(x, params)
         elapsed = time.perf_counter() - t0
         assert y == Word("110011010010000", 2)
         assert len(trace.steps) == 2
         assert (trace.steps[0].index, trace.steps[0].least_period) == (3, 2)
         assert (trace.steps[1].index, trace.steps[1].least_period) == (0, 3)
-        assert trace.intermediate_states[0] == Word("100100101100110", 2)
+        assert repair(x + Word([1], 2), params)[0] == Word("100100101100110", 2)
         assert decode(y, params) == x
         assert elapsed < 1e-3
 
@@ -208,9 +208,7 @@ def test_07_bounds_sandwich_and_constructive_existence(capsys):
                             and l <= msg
                             and q**width >= msg - l + 2
                         ):
-                            params = LpaParams(
-                                q=q, n=msg, p=p, l=l, index_width=width
-                            )
+                            params = LpaParams(q=q, n=msg, p=p, l=l)
                             for x in all_words(q, msg):
                                 y, _ = encode(x, params)
                                 assert (
@@ -278,3 +276,33 @@ def test_09_linear_scaling_at_desk_scale(capsys):
             large = min(large, mean_time(10**6))
             ratio = large / small
         assert 8.0 <= ratio <= 12.0, f"scaling ratio {ratio:.2f}"
+
+
+def test_09_scan_work_per_symbol_is_flat(monkeypatch):
+    """Deterministic companion of test_09: instead of wall time, count the
+    symbols the window scan reads per message symbol, which a linear
+    encoder keeps flat in n.  Each encode scans the whole word once plus
+    once per repair, and random messages need about 0.1 repairs each; the
+    tolerance allows one repair more per four messages between sizes."""
+    scanned = 0
+    scan = codec.first_violation
+
+    def counting(w, l, p):
+        nonlocal scanned
+        scanned += len(w)
+        return scan(w, l, p)
+
+    monkeypatch.setattr(codec, "first_violation", counting)
+    rng = np.random.default_rng(99)
+    per_symbol = []
+    for n, words in ((10**5, 100), (10**6, 20)):
+        params = derive_params(2, n, 4)
+        scanned = 0
+        for _ in range(words):
+            x = Word(rng.integers(0, 2, size=n, dtype=np.int64), 2)
+            y, _ = encode(x, params)
+            assert decode(y, params) == x
+        per_symbol.append(scanned / (n * words))
+    small, large = per_symbol
+    assert abs(large - small) <= 0.25, per_symbol
+    assert max(per_symbol) <= 1.5, per_symbol

@@ -330,17 +330,17 @@ def test_segmented_decode_corrupt(tmp_path, capsys):
             "--variant", "sep"]
     run(capsys, "segmented", "encode", *args, "--in", str(src), "--out", str(enc))
     word = list(enc.read_text().strip())
-    word[8] = "1" if word[8] == "0" else "0"  # damage the separator region
+    # index 8 follows the first 8-symbol codeword: the u glue symbol
+    word[8] = "1" if word[8] == "0" else "0"
     bad = tmp_path / "bad.txt"
     bad.write_text("".join(word) + "\n")
-    code, _, _ = run(
+    code, out, _ = run(
         capsys, "segmented", "decode", *args, "--in", str(bad), "--out", "-",
     )
-    out_line = capsys.readouterr()
-    # either the separator block check or a segment decode flags it, or the
-    # flip lands in a kernel and produces a different (wrong) word -- the
-    # exit code distinguishes detected corruption
-    assert code in (0, 3)
+    assert code == 3
+    assert out.splitlines() == [
+        "!corrupt glue joint before segment 1 is damaged at its symbol 0"
+    ]
 
 
 def test_segmented_decode_flags_flipped_glue_symbol(tmp_path, capsys):

@@ -64,11 +64,9 @@ def test_derive_params_tiny_message_uses_whole_word_window():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        LpaParams(q=2, n=14, p=4, l=8, index_width=2)  # width must be l-p-1
+        LpaParams(q=2, n=100, p=4, l=8)  # 2^3 < 100-8+2
     with pytest.raises(ValueError):
-        LpaParams(q=2, n=100, p=4, l=8, index_width=3)  # 2^3 < 100-8+2
-    with pytest.raises(ValueError):
-        LpaParams(q=2, n=14, p=4, l=5, index_width=0)  # l < p+2
+        LpaParams(q=2, n=14, p=4, l=5)  # l < p+2
 
 
 # ------------------------------------------------------- the worked trace
@@ -93,11 +91,11 @@ def test_single_repair_bookkeeping(ex_params):
 
 def test_two_step_encode_trace(ex_params):
     x = Word("10001010101100", 2)
-    y, trace = encode(x, ex_params, record_states=True)
+    y, trace = encode(x, ex_params)
     assert [
         (s.index, s.least_period, s.kernel.to_text()) for s in trace.steps
     ] == [(3, 2, "01"), (0, 3, "100")]
-    assert trace.intermediate_states[0] == Word("100100101100110", 2)
+    assert repair(x + Word([1], 2), ex_params)[0] == Word("100100101100110", 2)
     assert y == Word("110011010010000", 2)
     assert first_violation(y, ex_params.l, ex_params.p) is None
     assert decode(y, ex_params) == x

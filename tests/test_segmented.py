@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lpacodes import segmented
+from lpacodes.codec import LpaParams, derive_params
 from lpacodes.errors import CorruptCodewordError, InfeasibleParametersError
 from lpacodes.periodicity import Word
 from lpacodes.segmented import Variant
@@ -68,6 +69,64 @@ def test_plan_k1_is_the_plain_code():
     assert sp.k == 1
     assert sp.total_redundancy == 1
     assert sp.segment_lengths == (14,)
+
+
+def test_params_derive_layout_from_k():
+    sp = segmented.SegmentedParams(Variant.SEPARATOR, q=2, n=28, l=8, p=4, k=3)
+    assert sp.segment_lengths == (10, 10, 8)
+    assert [params.n for params in sp.base] == [10, 10, 8]
+    assert all(params.l == 8 for params in sp.base)
+    assert sp.total_redundancy == 3 + 2 * (4 + 2)
+    assert segmented.plan(2, 28, 8, 4, Variant.SEPARATOR) == (
+        segmented.SegmentedParams("sep", q=2, n=28, l=8, p=4, k=2)
+    )
+
+
+@pytest.mark.parametrize(
+    "n,k",
+    [
+        (28, 0),  # no segment at all
+        (28, -1),
+        (28, 29),  # more segments than symbols
+        (15, 2),  # segments of 8 and 7: the tail is shorter than the window
+        (28, 1),  # one 28-symbol segment: 3 index digits address 8 starts
+    ],
+)
+def test_params_reject_bad_k(n, k):
+    with pytest.raises(ValueError):
+        segmented.SegmentedParams(Variant.SEPARATOR, q=2, n=n, l=8, p=4, k=k)
+
+
+def test_params_reject_layout_below_its_least_window():
+    # k = 2 fits the index field, but a window that misses part of a
+    # glue-only joint would not hold a whole flank at l = 8
+    with pytest.raises(InfeasibleParametersError, match="needs l >= 9"):
+        segmented.SegmentedParams(Variant.GLUE_ONLY, q=2, n=28, l=8, p=4, k=2)
+
+
+def test_capacity_rule_agrees_across_its_users():
+    """A message of n symbols fits window l exactly when the l - p - 1
+    index digits address all n - l + 2 window starts; LpaParams,
+    derive_params and plan must all draw the line there."""
+    for q in (2, 3, 4):
+        for p in range(2, 6):
+            for l in range(p + 2, p + 7):
+                for n in range(l, q ** (l - p - 1) + l + 2):
+                    fits = q ** (l - p - 1) >= n - l + 2
+                    try:
+                        LpaParams(q=q, n=n, p=p, l=l)
+                        built = True
+                    except ValueError:
+                        built = False
+                    assert built == fits, (q, n, p, l)
+                    if n > p + 2:
+                        assert (derive_params(q, n, p).l <= l) == fits
+                    # half-window segments of window l: one segment iff it fits
+                    try:
+                        k = segmented.plan(q, n, 2 * l, p, Variant.HALF_WINDOW).k
+                    except InfeasibleParametersError:
+                        k = None
+                    assert (k == 1) == fits, (q, n, p, l)
 
 
 def test_plan_argument_validation():
