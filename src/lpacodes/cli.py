@@ -36,10 +36,6 @@ EXIT_VIOLATION = 4
 EXIT_BUDGET = 5
 
 
-class WordFileError(ValueError):
-    """A word file did not parse."""
-
-
 def read_words(path: str, q: int, expected_len: int | None = None) -> list[Word]:
     words = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -47,23 +43,40 @@ def read_words(path: str, q: int, expected_len: int | None = None) -> list[Word]
         if not line or line.startswith("#"):
             continue
         try:
-            word = Word.from_text(line, q)
+            word = Word(line, q)
         except ValueError as exc:
-            raise WordFileError(f"{path}:{lineno}: {exc}") from exc
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
         if expected_len is not None and len(word) != expected_len:
-            raise WordFileError(
+            raise ValueError(
                 f"{path}:{lineno}: expected {expected_len} symbols, got {len(word)}"
             )
         words.append(word)
     return words
 
 
-def _emit(lines: list[str], path: str | None) -> None:
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if path is None or path == "-":
-        sys.stdout.write(text)
+def _run_words(
+    args, expected_len: int | None, convert, fail_code: int = EXIT_OK
+) -> int:
+    """Read ``--in``, turn each word into its output text and a pass flag
+    with ``convert(i, word)`` (i counts words from 1), and write the texts
+    to ``--out`` (stdout for '-' or none).  A corrupt codeword becomes one
+    ``!corrupt <reason>`` line.  Returns ``fail_code`` if any word failed.
+    """
+    texts: list[str] = []
+    failed = False
+    for i, word in enumerate(read_words(args.infile, args.q, expected_len), start=1):
+        try:
+            text, ok = convert(i, word)
+        except CorruptCodewordError as exc:
+            text, ok = f"!corrupt {exc}", False
+        texts.append(text)
+        failed = failed or not ok
+    out = "\n".join(texts) + ("\n" if texts else "")
+    if args.outfile is None or args.outfile == "-":
+        sys.stdout.write(out)
     else:
-        Path(path).write_text(text)
+        Path(args.outfile).write_text(out)
+    return fail_code if failed else EXIT_OK
 
 
 def _print_report(pairs: list[tuple[str, object]], as_json: bool) -> None:
@@ -107,63 +120,47 @@ def cmd_params(args) -> int:
 
 def cmd_encode(args) -> int:
     params = codec.derive_params(args.q, args.n, args.p)
-    words = read_words(args.infile, args.q, expected_len=args.n)
-    lines: list[str] = []
-    for i, x in enumerate(words, start=1):
+
+    def convert(i: int, x: Word) -> tuple[str, bool]:
         y, trace = codec.encode(x, params)
-        if args.trace:
-            for j, step in enumerate(trace.steps, start=1):
-                lines.append(
-                    f"# word={i} step={j} index={step.index} "
-                    f"period={step.least_period} kernel={step.kernel.to_text()}"
-                )
-        lines.append(y.to_text())
-    _emit(lines, args.outfile)
-    return EXIT_OK
+        steps = trace.steps if args.trace else []
+        lines = [
+            f"# word={i} step={j} index={step.index} "
+            f"period={step.least_period} kernel={step.kernel.to_text()}"
+            for j, step in enumerate(steps, start=1)
+        ]
+        return "\n".join([*lines, y.to_text()]), True
+
+    return _run_words(args, args.n, convert)
 
 
 def cmd_decode(args) -> int:
     params = codec.derive_params(args.q, args.n, args.p)
-    words = read_words(args.infile, args.q, expected_len=args.n + 1)
-    lines: list[str] = []
-    corrupt = False
-    for y in words:
-        try:
-            lines.append(codec.decode(y, params).to_text())
-        except CorruptCodewordError as exc:
-            lines.append(f"!corrupt {exc}")
-            corrupt = True
-    _emit(lines, args.outfile)
-    return EXIT_CORRUPT if corrupt else EXIT_OK
+    return _run_words(
+        args,
+        args.n + 1,
+        lambda i, y: (codec.decode(y, params).to_text(), True),
+        EXIT_CORRUPT,
+    )
 
 
 def cmd_check(args) -> int:
     if args.rll is None and (args.l is None or args.p is None):
         print("check: need either --l and --p, or --rll K", file=sys.stderr)
         return EXIT_USAGE
-    words = read_words(args.infile, args.q)
     if args.rll is not None and args.rll < 1:
         raise ValueError("run length must be at least 1")
-    bad = False
-    for w in words:
+
+    def verdict(i: int, w: Word) -> tuple[str, bool]:
         if args.rll is not None:
             index = _leftmost_run(w.symbols == 0, args.rll)
-            if index < 0:
-                print("valid")
-            else:
-                print(f"invalid index={index}")
-                bad = True
-        else:
-            violation = first_violation(w, args.l, args.p)
-            if violation is None:
-                print("valid")
-            else:
-                print(
-                    f"invalid index={violation.index} "
-                    f"period={violation.least_period}"
-                )
-                bad = True
-    return EXIT_VIOLATION if bad else EXIT_OK
+            return ("valid", True) if index < 0 else (f"invalid index={index}", False)
+        v = first_violation(w, args.l, args.p)
+        if v is None:
+            return "valid", True
+        return f"invalid index={v.index} period={v.least_period}", False
+
+    return _run_words(args, None, verdict, EXIT_VIOLATION)
 
 
 def cmd_count(args) -> int:
@@ -248,69 +245,49 @@ def cmd_stats(args) -> int:
     return EXIT_VIOLATION if exceeded else EXIT_OK
 
 
-def _segmented_params(args) -> segmented.SegmentedParams:
-    if args.variant == "auto":
-        return segmented.select_construction(args.q, args.n, args.l, args.p).params
-    return segmented.plan(args.q, args.n, args.l, args.p, segmented.Variant(args.variant))
-
-
 def cmd_segmented(args) -> int:
-    if args.action == "plan":
-        if args.variant == "auto":
-            selection = segmented.select_construction(args.q, args.n, args.l, args.p)
-            sp = selection.params
-            extras: list[tuple[str, object]] = [
-                (
-                    "candidates",
-                    {
-                        v.name: c.total_redundancy
-                        for v, c in selection.candidates.items()
-                    },
-                ),
-                ("notes", list(selection.notes)),
-            ]
-        else:
-            sp = segmented.plan(
-                args.q, args.n, args.l, args.p, segmented.Variant(args.variant)
-            )
-            extras = []
-        _print_report(
-            [
-                ("variant", sp.variant.name),
-                ("q", sp.q),
-                ("n", sp.n),
-                ("l", sp.l),
-                ("p", sp.p),
-                ("k", sp.k),
-                ("segment_lengths", list(sp.segment_lengths)),
-                ("segment_window", sp.base[0].l),
-                ("total_redundancy", sp.total_redundancy),
-            ]
-            + extras,
-            args.json,
+    extras: list[tuple[str, object]] = []
+    if args.variant == "auto":
+        selection = segmented.select_construction(args.q, args.n, args.l, args.p)
+        sp = selection.params
+        extras = [
+            (
+                "candidates",
+                {v.name: c.total_redundancy for v, c in selection.candidates.items()},
+            ),
+            ("notes", list(selection.notes)),
+        ]
+    else:
+        sp = segmented.plan(
+            args.q, args.n, args.l, args.p, segmented.Variant(args.variant)
         )
-        return EXIT_OK
-
-    sp = _segmented_params(args)
     if args.action == "encode":
-        words = read_words(args.infile, args.q, expected_len=args.n)
-        lines = [segmented.encode(x, sp).to_text() for x in words]
-        _emit(lines, args.outfile)
-        return EXIT_OK
-
-    words = read_words(
-        args.infile, args.q, expected_len=sp.n + sp.total_redundancy
+        return _run_words(
+            args, sp.n, lambda i, x: (segmented.encode(x, sp).to_text(), True)
+        )
+    if args.action == "decode":
+        return _run_words(
+            args,
+            sp.n + sp.total_redundancy,
+            lambda i, y: (segmented.decode(y, sp).to_text(), True),
+            EXIT_CORRUPT,
+        )
+    _print_report(
+        [
+            ("variant", sp.variant.name),
+            ("q", sp.q),
+            ("n", sp.n),
+            ("l", sp.l),
+            ("p", sp.p),
+            ("k", sp.k),
+            ("segment_lengths", list(sp.segment_lengths)),
+            ("segment_window", sp.base[0].l),
+            ("total_redundancy", sp.total_redundancy),
+        ]
+        + extras,
+        args.json,
     )
-    lines = []
-    corrupt = False
-    for y in words:
-        try:
-            lines.append(segmented.decode(y, sp).to_text())
-        except CorruptCodewordError as exc:
-            lines.append(f"!corrupt {exc}")
-            corrupt = True
-    _emit(lines, args.outfile)
-    return EXIT_CORRUPT if corrupt else EXIT_OK
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------- parser
@@ -355,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--rll", type=int, help="check zero runs of this length instead")
     p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, outfile=None)
 
     p = sub.add_parser("count", help="count a word family")
     p.add_argument("--family", choices=["A", "B", "R"], required=True)
@@ -381,26 +358,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats, infile=None)
 
     p = sub.add_parser("segmented", help="plan or run a segmented layout")
-    p.add_argument("action", choices=["plan", "encode", "decode"])
-    p.add_argument("--variant", choices=["half", "sep", "glue", "auto"], default="auto")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--out", dest="outfile")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_segmented)
+    actions = p.add_subparsers(dest="action", required=True)
+    layout = argparse.ArgumentParser(add_help=False)
+    layout.add_argument(
+        "--variant", choices=["half", "sep", "glue", "auto"], default="auto"
+    )
+    layout.add_argument("--q", type=int, required=True)
+    layout.add_argument("--n", type=int, required=True)
+    layout.add_argument("--l", type=int, required=True)
+    layout.add_argument("--p", type=int, required=True)
+    p = actions.add_parser("plan", parents=[layout], help="report the layout")
+    p.add_argument("--json", action="store_true")
+    for action in ("encode", "decode"):
+        p = actions.add_parser(action, parents=[layout], help=f"{action} a word file")
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", dest="outfile")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "segmented" and args.action != "plan":
-        if args.infile is None:
-            parser.error("segmented encode/decode need --in")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:
@@ -409,10 +388,7 @@ def main(argv=None) -> int:
     except CorruptCodewordError as exc:
         print(f"corrupt codeword: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
-    except (WordFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

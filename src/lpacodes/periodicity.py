@@ -50,8 +50,9 @@ class Word:
     """Immutable sequence of symbols drawn from {0, .., q-1}.
 
     Symbols live in a read-only numpy array so large words can be scanned
-    with vector operations while small ones stay cheap to slice.  Words
-    compare and hash by (alphabet, content).
+    with vector operations while small ones stay cheap to slice.  A string
+    is parsed as contiguous digits for q <= 10 and as comma-separated
+    integers otherwise.  Words compare and hash by (alphabet, content).
     """
 
     __slots__ = ("_symbols", "_q", "_hash")
@@ -84,12 +85,6 @@ class Word:
         obj._q = q
         obj._hash = None
         return obj
-
-    @classmethod
-    def from_text(cls, text: str, q: int) -> "Word":
-        """Parse ``text`` as one word: contiguous digits for q <= 10,
-        comma-separated integers otherwise."""
-        return cls(_parse_symbol_text(text, q), q)
 
     @property
     def symbols(self) -> np.ndarray:

@@ -164,9 +164,11 @@ def plan(q: int, n: int, l: int, p: int, variant: Variant) -> SegmentedParams:
     A segment fits its repair record's index field exactly when it is no
     longer than the capacity of the per-segment window (the rule that
     ``derive_params`` uses), so k starts at the least count whose longest
-    segment (length ceil(n/k)) fits; from there k only grows until the
+    segment (length h = ceil(n/k)) fits.  From there k grows until the
     tail segment covers one window too, and gives up once the longest
-    segment no longer does.
+    segment no longer does.  Every k with the same h leaves a shorter tail
+    than the smallest one, so a failing k jumps to ceil(n/(h - 1)), the
+    least count with a shorter longest segment: O(sqrt(n)) steps.
     """
     variant = Variant(variant)
     if q < 2:
@@ -176,12 +178,11 @@ def plan(q: int, n: int, l: int, p: int, variant: Variant) -> SegmentedParams:
     if n < 1:
         raise ValueError(f"message length must be positive, got {n}")
     seg_window = _segment_window(variant, l, p)
-    for k in range(-(-n // _capacity(q, seg_window, p)), n + 1):
-        head = -(-n // k)
-        if head < seg_window:
-            break
+    k = -(-n // _capacity(q, seg_window, p))
+    while (head := -(-n // k)) >= seg_window:
         if n - (k - 1) * head >= seg_window:
             return SegmentedParams(variant=variant, q=q, n=n, l=l, p=p, k=k)
+        k = -(-n // (head - 1))
     raise InfeasibleParametersError(
         f"no segment count in [1, {n}] supports the {variant.name} layout "
         f"for q={q}, n={n}, l={l}, p={p}"

@@ -369,19 +369,108 @@ def test_segmented_encode_requires_infile(capsys):
     assert info.value.code == 2
 
 
+SEGMENTED_LAYOUT = ["--q", "2", "--n", "13", "--l", "6", "--p", "3"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["encode", "--q", "2", "--n", "14", "--p", "4", "--in", "x", "--out", "-"],
         ["decode", "--q", "2", "--n", "14", "--p", "4", "--in", "x", "--out", "-"],
         ["check", "--q", "2", "--l", "8", "--p", "4", "--in", "x"],
+        ["segmented", "encode", *SEGMENTED_LAYOUT, "--in", "x"],
+        ["segmented", "decode", *SEGMENTED_LAYOUT, "--in", "x", "--out", "-"],
     ],
 )
 def test_json_flag_only_on_commands_that_print_reports(argv):
-    # encode, decode and check print words or verdicts, never a report
+    # these commands print words or verdicts, never a report
     with pytest.raises(SystemExit) as info:
         main([*argv, "--json"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--in", "--out"])
+def test_segmented_plan_rejects_word_file_flags(flag):
+    with pytest.raises(SystemExit) as info:
+        main(["segmented", "plan", *SEGMENTED_LAYOUT, flag, "x"])
+    assert info.value.code == 2
+
+
+# ------------------------------------------------------ word-file pipeline
+
+
+@pytest.mark.parametrize(
+    "argv,words,out_file,expected,code",
+    [
+        (
+            ["encode", "--q", "2", "--n", "14", "--p", "4"],
+            ["10001010101100", "10110100011010", "00000000000000"],
+            True,
+            ["110011010010000", "101101000110101", "000000101000000"],
+            0,
+        ),
+        (
+            ["decode", "--q", "2", "--n", "14", "--p", "4", "--out", "-"],
+            ["110011010010000", "111111010101010", "101101000110101"],
+            False,
+            [
+                "10001010101100",
+                "!corrupt repair records form a cycle",
+                "10110100011010",
+            ],
+            3,
+        ),
+        (
+            ["check", "--q", "2", "--l", "8", "--p", "4"],
+            ["110011010010000", "000000000000000", "101101000110101"],
+            False,
+            ["valid", "invalid index=0 period=1", "valid"],
+            4,
+        ),
+        (
+            ["check", "--q", "2", "--rll", "5"],
+            ["110011010010000", "000000000000000", "101101000110101"],
+            False,
+            ["valid", "invalid index=0", "valid"],
+            4,
+        ),
+        (
+            ["segmented", "encode", *SEGMENTED_LAYOUT, "--variant", "sep"],
+            ["1011010001101", "0000000000000", "1110001110001"],
+            False,
+            [
+                "10110101110010011011",
+                "01010000110011010000",
+                "11100011010001100011",
+            ],
+            0,
+        ),
+        (
+            ["segmented", "decode", *SEGMENTED_LAYOUT, "--variant", "sep"],
+            # the middle word has its u glue symbol (index 8) flipped
+            ["10110101110010011011", "01010000010011010000", "11100011010001100011"],
+            True,
+            [
+                "1011010001101",
+                "!corrupt glue joint before segment 1 is damaged at its symbol 0",
+                "1110001110001",
+            ],
+            3,
+        ),
+    ],
+)
+def test_word_file_commands_keep_input_order(
+    tmp_path, capsys, argv, words, out_file, expected, code
+):
+    src = tmp_path / "in.txt"
+    out = tmp_path / "out.txt"
+    write_words(src, ["# comment", words[0], "", *words[1:]])
+    extra = ["--out", str(out)] if out_file else []
+    got_code, stdout, _ = run(capsys, *argv, "--in", str(src), *extra)
+    assert got_code == code
+    assert (out.read_text() if out_file else stdout).splitlines() == expected
+    if out_file:
+        assert stdout == ""
 
 
 # ----------------------------------------------------------- input parsing

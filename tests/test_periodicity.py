@@ -31,28 +31,28 @@ from helpers import (
 
 
 def test_word_from_digit_text():
-    w = Word.from_text("10010", 2)
+    w = Word("10010", 2)
     assert len(w) == 5
     assert w.to_list() == [1, 0, 0, 1, 0]
     assert w.to_text() == "10010"
 
 
 def test_word_from_csv_text_large_alphabet():
-    w = Word.from_text("11,0,3,10", 16)
+    w = Word("11,0,3,10", 16)
     assert w.to_list() == [11, 0, 3, 10]
     # large alphabets always render as CSV
     assert w.to_text() == "11,0,3,10"
 
 
 def test_word_csv_accepted_for_small_alphabet_too():
-    assert Word.from_text("1,0,1", 2) == Word.from_text("101", 2)
+    assert Word("1,0,1", 2) == Word("101", 2)
 
 
 def test_word_rejects_out_of_range_symbols():
     with pytest.raises(ValueError):
         Word([0, 2], 2)
     with pytest.raises(ValueError):
-        Word.from_text("3", 3)
+        Word("3", 3)
     with pytest.raises(ValueError):
         Word([-1, 0], 2)
 

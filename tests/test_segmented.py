@@ -48,20 +48,27 @@ def test_plan_variant_preconditions():
 
 
 def test_plan_matches_naive_k_walk():
-    """plan solves for its starting k; the oracle walks k from 1."""
-    for q in (2, 3):
-        for p in range(2, 6):
-            for l in range(2, 17):
-                for n in [*range(1, 61), 1000, 1009, 4099]:
-                    for variant in Variant:
-                        expected = naive_plan(q, n, l, p, variant.value)
-                        if expected is None:
-                            with pytest.raises(InfeasibleParametersError):
-                                segmented.plan(q, n, l, p, variant)
-                            continue
-                        sp = segmented.plan(q, n, l, p, variant)
-                        got = (sp.k, sp.segment_lengths, sp.total_redundancy)
-                        assert got == expected, (q, n, l, p, variant)
+    """plan solves for its starting k and jumps over equal head lengths;
+    the oracle walks k from 1."""
+    points = [
+        (q, n, l, p)
+        for q in (2, 3)
+        for p in range(2, 6)
+        for l in range(2, 17)
+        for n in [*range(1, 61), 1000, 1009, 4099]
+    ]
+    # HALF_WINDOW here passes about 6,000 counts whose tail is too short
+    points.append((2, 5 * 10**5, 16, 4))
+    for q, n, l, p in points:
+        for variant in Variant:
+            expected = naive_plan(q, n, l, p, variant.value)
+            if expected is None:
+                with pytest.raises(InfeasibleParametersError):
+                    segmented.plan(q, n, l, p, variant)
+                continue
+            sp = segmented.plan(q, n, l, p, variant)
+            got = (sp.k, sp.segment_lengths, sp.total_redundancy)
+            assert got == expected, (q, n, l, p, variant)
 
 
 def test_plan_k1_is_the_plain_code():
