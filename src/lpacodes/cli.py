@@ -385,9 +385,6 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except CorruptCodewordError as exc:
-        print(f"corrupt codeword: {exc}", file=sys.stderr)
-        return EXIT_CORRUPT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,9 +10,17 @@ leftmost run of at least ``need`` True entries in a bool mask.  A window
 has period p exactly when the shift-comparison mask ``w[i] == w[i+p]``
 holds over its first l - p positions, so ``first_violation``, ``is_pa``,
 ``is_lpa`` and ``least_period_below`` ask it about such masks, ``is_rll``
-asks it about ``w == 0``, and the counting engine asks it about whole
-chunks of words at once.  Whole-word period tests (``has_period``, and
-``extension_symbol`` through it) compare the two shifted copies directly.
+asks it about ``w == 0``, and the counting engine and the segmented codec
+ask it about whole matrices of words at once, one word per row.
+Whole-word period tests (``has_period`` and ``extension_symbol``) compare
+the two shifted copies directly; ``_extension_symbols``, which
+``extension_symbol`` calls on one row, does so for many words at once.
+
+Symbol text for q <= 10 is a line of ASCII digits, read and written as
+bytes (one byte per symbol, offset by ``ord("0")``).  Comma-separated
+lines, and digit lines holding anything else (a space, a non-ASCII digit),
+go through ``int`` one token at a time.
+
 The independent reference oracles, written straight from the
 definitions, live in the test suite (``tests/helpers.py``), not here.
 """
@@ -52,7 +60,8 @@ class Word:
     Symbols live in a read-only numpy array so large words can be scanned
     with vector operations while small ones stay cheap to slice.  A string
     is parsed as contiguous digits for q <= 10 and as comma-separated
-    integers otherwise.  Words compare and hash by (alphabet, content).
+    integers otherwise (or whenever it holds a comma).  Words compare and
+    hash by (alphabet, content).
     """
 
     __slots__ = ("_symbols", "_q", "_hash")
@@ -64,7 +73,9 @@ class Word:
             symbols = _parse_symbol_text(symbols, q)
         elif not isinstance(symbols, (np.ndarray, list, tuple)):
             symbols = list(symbols)
-        arr = np.asarray(symbols, dtype=np.int64)
+        arr = symbols
+        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iu"):
+            arr = np.asarray(symbols, dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError("symbols must form a one-dimensional sequence")
         if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= q):
@@ -100,7 +111,7 @@ class Word:
 
     def to_text(self) -> str:
         if self._q <= 10:
-            return "".join(map(str, self._symbols.tolist()))
+            return (self._symbols + _ZERO).tobytes().decode("ascii")
         return ",".join(map(str, self._symbols.tolist()))
 
     def reversed(self) -> "Word":
@@ -143,12 +154,21 @@ class Word:
         return self.to_text()
 
 
-def _parse_symbol_text(text: str, q: int) -> list[int]:
+_ZERO = np.uint8(ord("0"))
+
+
+def _parse_symbol_text(text: str, q: int) -> np.ndarray | list[int]:
     text = text.strip()
     if not text:
         return []
     if "," in text or q > 10:
         return [int(tok) for tok in text.split(",")]
+    if text.isascii():
+        digits = np.frombuffer(text.encode("ascii"), np.uint8) - _ZERO
+        if digits.max() <= 9:  # bytes below "0" wrap round to 208 and up
+            return digits
+    # int() judges every other line symbol by symbol: it words the error,
+    # and it accepts any Unicode decimal digit
     return [int(ch) for ch in text]
 
 
@@ -295,21 +315,30 @@ def extension_symbol(w: Word) -> int:
     Such a symbol always exists; running out of candidates would signal a
     defect, not an input problem.
     """
-    n = len(w)
-    if n == 0:
+    if len(w) == 0:
         raise ValueError("cannot extend an empty word")
+    return int(_extension_symbols(w.symbols[None, :], w.q)[0])
+
+
+def _extension_symbols(rows: np.ndarray, q: int) -> np.ndarray:
+    """``extension_symbol`` of each row of the (r, n) symbol array ``rows``
+    (n >= 1), as one array of r symbols."""
+    r, n = rows.shape
+    periods = range(1, min(n // 2 + 2, n + 1))
     # w + a has period pp exactly when w has period pp (vacuously so for
-    # pp = n) and a equals w[n - pp]; each such period rules out one symbol.
-    syms = w.symbols
-    taken = {
-        int(syms[n - pp])
-        for pp in range(1, min(n // 2 + 2, n + 1))
-        if pp == n or has_period(w, pp)
-    }
-    for a in range(w.q):
-        if a not in taken:
-            return a
-    raise AssertionError(
-        "no symbol extends the word without a short period; this contradicts "
-        "the extension guarantee and indicates a defect"
-    )
+    # pp = n) and a equals w[n - pp]; each such period rules out one symbol,
+    # so the answer lies below len(periods) + 1 and wider symbols never count.
+    width = min(q, len(periods) + 1)
+    taken = np.zeros((r, width), dtype=bool)
+    at = np.arange(r)
+    for pp in periods:
+        sym = rows[:, n - pp]
+        hit = (rows[:, : n - pp] == rows[:, pp:]).all(axis=1) & (sym < width)
+        taken[at[hit], sym[hit]] = True
+    free = ~taken
+    if not free.any(axis=1).all():
+        raise AssertionError(
+            "no symbol extends the word without a short period; this "
+            "contradicts the extension guarantee and indicates a defect"
+        )
+    return free.argmax(axis=1)

@@ -18,6 +18,13 @@ Given the layout and (q, n, l, p), the segment count k fixes everything
 else: ``SegmentedParams`` derives the segment lengths, each segment's
 ``LpaParams`` and the redundancy from k.  ``plan`` finds the smallest k
 for a layout, ``select_construction`` picks the cheapest feasible layout.
+
+``encode`` and ``decode`` work on the k - 1 equal segments as one matrix,
+one segment per row, and on the tail as a one-row matrix.  One 2-D window
+scan per period finds the rows that need a repair, and only those go
+through ``codec.encode``; a codeword that ends in its marker 1 is its
+message plus that marker, so only the others go through ``codec.decode``.
+Every joint comes from the matrices of segment flanks in one pass.
 """
 
 from __future__ import annotations
@@ -33,7 +40,9 @@ import numpy as np
 from . import codec
 from .codec import LpaParams, _capacity
 from .errors import CorruptCodewordError, InfeasibleParametersError
-from .periodicity import Word, extension_symbol
+from .periodicity import Word, _extension_symbols, _leftmost_run
+# perfbench/tracer.py wraps extension_symbol under this module's name
+from .periodicity import extension_symbol  # noqa: F401
 
 __all__ = [
     "Variant",
@@ -60,11 +69,11 @@ class SegmentedParams:
     ceil(n/k) symbols and a tail of what remains, each encoded on its own
     against the layout's per-segment window.
 
-    ``segment_lengths``, ``base`` (each segment's ``LpaParams``) and
-    ``total_redundancy`` are derived from these fields.  Raises
-    InfeasibleParametersError when l is too short for the layout, and
-    ValueError when k leaves a segment that cannot hold a window or whose
-    windows its index field cannot address.
+    ``segment_lengths``, ``base`` (each segment's ``LpaParams``),
+    ``joint_length`` and ``total_redundancy`` are derived from these
+    fields.  Raises InfeasibleParametersError when l is too short for the
+    layout, and ValueError when k leaves a segment that cannot hold a
+    window or whose windows its index field cannot address.
     """
 
     variant: Variant
@@ -100,11 +109,15 @@ class SegmentedParams:
         return tuple(params.n for params in self.base)
 
     @cached_property
-    def total_redundancy(self) -> int:
-        """One symbol per segment plus ``u block w`` per joint."""
+    def joint_length(self) -> int:
+        """Symbols of ``u block w`` between two segments (0: they abut)."""
         block = _layout(self.variant, self.l, self.p)[2]
-        joint = 0 if block is None else len(block) + 2
-        return self.k + (self.k - 1) * joint
+        return 0 if block is None else len(block) + 2
+
+    @cached_property
+    def total_redundancy(self) -> int:
+        """One symbol per segment plus one joint between each two."""
+        return self.k + (self.k - 1) * self.joint_length
 
 
 def _flank_length(p: int) -> int:
@@ -145,17 +158,56 @@ def _segment_window(variant: Variant, l: int, p: int) -> int:
     return window
 
 
-def _joint(sp: SegmentedParams, left: Word, right: Word) -> list[int]:
-    """Symbols between two neighbouring codewords: ``u block w``, where u
-    extends the left codeword's tail and w guards the right codeword's head
+def _joints(sp: SegmentedParams, heads: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """The k - 1 joints ``u block w`` of a layout, one per row, between each
+    equal segment's codeword (a row of ``heads``) and the next codeword
+    (the next row, or the one-row ``tail`` last).  u extends the left
+    codeword's last flank and w guards the right codeword's first flank
     (chosen through the reversal symmetry of periods)."""
     block = _layout(sp.variant, sp.l, sp.p)[2]
     if block is None:
-        return []
-    f = min(_flank_length(sp.p), len(left), len(right))
-    u = extension_symbol(left[len(left) - f :])
-    w = extension_symbol(right[:f].reversed())
-    return [u, *block, w]
+        return np.empty((len(heads), 0), dtype=heads.dtype)
+    # every codeword is longer than a flank: it holds one window, and the
+    # layout's window holds a flank
+    f = _flank_length(sp.p)
+    firsts = np.concatenate([heads[:, :f], tail[:, :f]])[1:]
+    out = np.empty((len(heads), len(block) + 2), dtype=heads.dtype)
+    out[:, 0] = _extension_symbols(heads[:, -f:], sp.q)
+    out[:, 1:-1] = block
+    out[:, -1] = _extension_symbols(firsts[:, ::-1], sp.q)
+    return out
+
+
+def _has_violation(marked: np.ndarray, l: int, p: int) -> np.ndarray:
+    """Which rows hold a length-``l`` window with some period below
+    ``p < l``: one 2-D ``_leftmost_run`` per period covers every row."""
+    bad = np.zeros(len(marked), dtype=bool)
+    for period in range(1, p):
+        shifted = marked[:, :-period] == marked[:, period:]
+        bad |= _leftmost_run(shifted, l - period) >= 0
+    return bad
+
+
+def _encode_rows(msgs: np.ndarray, params: LpaParams) -> np.ndarray:
+    """Codewords of the messages in the rows of ``msgs``.  A row whose
+    marked message (the row plus the marker 1) has no offending window is
+    its own codeword; only the rows with one go through ``codec.encode``."""
+    rows, m = msgs.shape
+    out = np.ones((rows, m + 1), dtype=msgs.dtype)
+    out[:, :m] = msgs
+    for r in np.flatnonzero(_has_violation(out, params.l, params.p)):
+        out[r] = codec.encode(Word._trusted(msgs[r], params.q), params)[0].symbols
+    return out
+
+
+def _decode_rows(codewords: np.ndarray, params: LpaParams) -> np.ndarray:
+    """Messages of the codewords in the rows of ``codewords``.  A row that
+    ends in the marker 1 holds its message before it, which is all that
+    ``codec.decode`` would return; only the other rows go through it."""
+    msgs = codewords[:, :-1].copy()
+    for r in np.flatnonzero(codewords[:, -1] != 1):
+        msgs[r] = codec.decode(Word._trusted(codewords[r], params.q), params).symbols
+    return msgs
 
 
 def plan(q: int, n: int, l: int, p: int, variant: Variant) -> SegmentedParams:
@@ -195,18 +247,12 @@ def encode(x: Word, sp: SegmentedParams) -> Word:
         raise ValueError(f"message must have {sp.n} symbols, got {len(x)}")
     if x.q != sp.q:
         raise ValueError(f"message alphabet {x.q} does not match q={sp.q}")
-    parts: list[np.ndarray] = []
-    previous = None
-    offset = 0
-    for length, params in zip(sp.segment_lengths, sp.base):
-        piece, _ = codec.encode(x[offset : offset + length], params)
-        if previous is not None:
-            joint = _joint(sp, previous, piece)
-            parts.append(np.asarray(joint, dtype=piece.symbols.dtype))
-        parts.append(piece.symbols)
-        previous = piece
-        offset += length
-    out = Word._trusted(np.concatenate(parts), sp.q)
+    full, last = sp._pieces
+    cut = (sp.k - 1) * full.n
+    heads = _encode_rows(x.symbols[:cut].reshape(sp.k - 1, full.n), full)
+    tail = _encode_rows(x.symbols[cut:].reshape(1, last.n), last)
+    joined = np.hstack([heads, _joints(sp, heads, tail)])
+    out = Word._trusted(np.concatenate([joined.ravel(), tail[0]]), sp.q)
     if len(out) != sp.n + sp.total_redundancy:
         raise AssertionError("layout produced the wrong output length")
     return out
@@ -216,7 +262,8 @@ def decode(y: Word, sp: SegmentedParams) -> Word:
     """Split ``y`` at the fixed layout offsets and decode each segment.
 
     Each joint between segments is rebuilt from the neighbouring codewords;
-    any mismatch raises CorruptCodewordError.
+    any mismatch raises CorruptCodewordError.  Errors come in the order of
+    a walk that decodes segment j - 1 before it checks joint j.
     """
     if len(y) != sp.n + sp.total_redundancy:
         raise ValueError(
@@ -224,26 +271,22 @@ def decode(y: Word, sp: SegmentedParams) -> Word:
         )
     if y.q != sp.q:
         raise ValueError(f"word alphabet {y.q} does not match q={sp.q}")
-    # all k - 1 joints have the same length
-    joint_len = (sp.total_redundancy - sp.k) // max(sp.k - 1, 1)
-    pieces = []
-    previous = None
-    offset = 0
-    for j, (length, params) in enumerate(zip(sp.segment_lengths, sp.base)):
-        start = offset + joint_len if j > 0 else offset
-        codeword = y[start : start + length + 1]
-        if j > 0:
-            found = y.symbols[offset:start].tolist()
-            expected = _joint(sp, previous, codeword)
-            if found != expected:
-                at = next(i for i, (a, b) in enumerate(zip(found, expected)) if a != b)
-                raise CorruptCodewordError(
-                    f"glue joint before segment {j} is damaged at its symbol {at}"
-                )
-        pieces.append(codec.decode(codeword, params).symbols)
-        previous = codeword
-        offset = start + length + 1
-    return Word._trusted(np.concatenate(pieces), sp.q)
+    full, last = sp._pieces
+    cut = (sp.k - 1) * (full.n + 1 + sp.joint_length)
+    rows = y.symbols[:cut].reshape(sp.k - 1, full.n + 1 + sp.joint_length)
+    heads, found = rows[:, : full.n + 1], rows[:, full.n + 1 :]
+    tail = y.symbols[cut:].reshape(1, last.n + 1)
+    damaged = found != _joints(sp, heads, tail)
+    bad = np.flatnonzero(damaged.any(axis=1))
+    if bad.size:
+        j = int(bad[0]) + 1
+        _decode_rows(heads[:j], full)  # their errors come before joint j's
+        raise CorruptCodewordError(
+            f"glue joint before segment {j} is damaged at its symbol "
+            f"{int(damaged[j - 1].argmax())}"
+        )
+    msgs = [_decode_rows(heads, full).ravel(), _decode_rows(tail, last)[0]]
+    return Word._trusted(np.concatenate(msgs), sp.q)
 
 
 def prefers_separator(q: int, l: int, p: int) -> bool:

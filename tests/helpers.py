@@ -2,10 +2,19 @@
 
 Everything here works on plain Python lists and is written as directly
 from the definitions as possible, so the real implementations are tested
-against independent logic rather than themselves.
+against independent logic rather than themselves.  The segmented oracles
+are the exception: they walk the segments one at a time through the
+library's single-segment codec, so they cross-check the layout and its
+joints, not the codec.
 """
 
 from itertools import product
+
+import numpy as np
+
+from lpacodes import codec
+from lpacodes.errors import CorruptCodewordError
+from lpacodes.periodicity import Word
 
 
 def naive_has_period(seq, p):
@@ -98,3 +107,69 @@ def naive_plan(q, n, l, p, variant):
 
 def all_tuples(q, n):
     return product(range(q), repeat=n)
+
+
+def naive_extension_symbol(seq, q):
+    """Smallest symbol a such that seq + [a] has no period below
+    len(seq) // 2 + 2."""
+    bound = len(seq) // 2 + 2
+    return next(
+        a
+        for a in range(q)
+        if not any(
+            naive_has_period(seq + [a], pp) for pp in range(1, min(bound, len(seq) + 1))
+        )
+    )
+
+
+def _naive_joint(sp, left, right):
+    """``u block w`` between two neighbouring codewords (lists): u extends
+    the left codeword's tail and w the reversed head of the right one, each
+    of at most max(p - 1, 2p - 4) symbols."""
+    block = {"half": None, "sep": [1] + [0] * (sp.p - 1), "glue": []}[sp.variant.value]
+    if block is None:
+        return []
+    f = min(max(sp.p - 1, 2 * sp.p - 4), len(left), len(right))
+    u = naive_extension_symbol(left[len(left) - f :], sp.q)
+    w = naive_extension_symbol(right[:f][::-1], sp.q)
+    return [u, *block, w]
+
+
+def naive_segmented_encode(x, sp):
+    """Segmented encode one segment at a time: encode, then glue to the
+    previous codeword."""
+    out = []
+    previous = None
+    offset = 0
+    for length, params in zip(sp.segment_lengths, sp.base):
+        piece = codec.encode(x[offset : offset + length], params)[0].to_list()
+        if previous is not None:
+            out += _naive_joint(sp, previous, piece)
+        out += piece
+        previous = piece
+        offset += length
+    return Word(out, sp.q)
+
+
+def naive_segmented_decode(y, sp):
+    """Segmented decode one segment at a time: check joint j against the
+    codewords it sits between, then decode segment j."""
+    joint_len = (sp.total_redundancy - sp.k) // max(sp.k - 1, 1)
+    pieces = []
+    previous = None
+    offset = 0
+    for j, (length, params) in enumerate(zip(sp.segment_lengths, sp.base)):
+        start = offset + joint_len if j > 0 else offset
+        codeword = y[start : start + length + 1]
+        if j > 0:
+            found = y[offset:start].to_list()
+            expected = _naive_joint(sp, previous, codeword.to_list())
+            if found != expected:
+                at = next(i for i, (a, b) in enumerate(zip(found, expected)) if a != b)
+                raise CorruptCodewordError(
+                    f"glue joint before segment {j} is damaged at its symbol {at}"
+                )
+        pieces.append(codec.decode(codeword, params).symbols)
+        previous = codeword.to_list()
+        offset = start + length + 1
+    return Word(np.concatenate(pieces), sp.q)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lpacodes import periodicity
+from lpacodes.cli import read_words
 from lpacodes.periodicity import (
     Word,
     WindowViolation,
@@ -96,6 +97,46 @@ def test_word_is_immutable():
 def test_word_accepts_numpy_input():
     arr = np.array([0, 1, 2], dtype=np.int64)
     assert Word(arr, 3).to_list() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("q", [2, 10, 11, 16, 300])
+@pytest.mark.parametrize("n", [0, 1, 10**4])
+def test_text_round_trip(q, n):
+    rng = np.random.default_rng(1000 * q + n)
+    for _ in range(3):
+        symbols = rng.integers(0, q, size=n).tolist()
+        w = Word(symbols, q)
+        text = w.to_text()
+        assert text == ("" if q <= 10 else ",").join(map(str, symbols))
+        assert Word(text, q) == w
+        assert Word(text, q).to_text() == text
+
+
+@pytest.mark.parametrize(
+    "line,q,message",
+    [
+        ("0120a1", 10, "invalid literal for int() with base 10: 'a'"),
+        ("01 10", 2, "invalid literal for int() with base 10: ' '"),
+        ("0121", 2, "symbols must lie in [0, 1]"),
+        ("1,,0", 2, "invalid literal for int() with base 10: ''"),
+        ("1,12", 10, "symbols must lie in [0, 9]"),
+    ],
+)
+def test_read_words_error_messages(tmp_path, line, q, message):
+    path = tmp_path / "words.txt"
+    path.write_text(f"# header\n0101\n{line}\n")
+    with pytest.raises(ValueError) as info:
+        read_words(str(path), q)
+    assert str(info.value) == f"{path}:3: {message}"
+
+
+def test_non_ascii_decimal_digits_parse_as_digits(tmp_path):
+    # int() reads any Unicode decimal digit, and so does the text format
+    assert Word("\u0661\u0660\u0661", 2) == Word("101", 2)
+    assert Word("\uff11\uff10", 2) == Word("10", 2)
+    path = tmp_path / "words.txt"
+    path.write_text("\u0660\u0661\u0661\n", encoding="utf-8")
+    assert read_words(str(path), 2) == [Word("011", 2)]
 
 
 # ------------------------------------------------------- period predicates

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from lpacodes import segmented
+from lpacodes import codec, segmented
 from lpacodes.codec import LpaParams, derive_params
 from lpacodes.errors import CorruptCodewordError, InfeasibleParametersError
-from lpacodes.periodicity import Word
-from lpacodes.segmented import Variant
+from lpacodes.periodicity import Word, first_violation
+from lpacodes.segmented import SegmentedParams, Variant
 
-from helpers import all_tuples, naive_plan, naive_window_clean
+from helpers import (
+    all_tuples,
+    naive_plan,
+    naive_segmented_decode,
+    naive_segmented_encode,
+    naive_window_clean,
+)
 
 
 # ------------------------------------------------------------------ plans
@@ -199,6 +205,116 @@ def test_ternary_separator_round_trip():
         y = segmented.encode(x, sp)
         assert naive_window_clean(y.to_list(), 6, 3)
         assert segmented.decode(y, sp) == x
+
+
+# ------------------------------------------------ segment-at-a-time oracle
+
+
+def _oracle_layouts():
+    """Every buildable layout over a small grid, per variant and alphabet,
+    with one segment, several, and a tail shorter than the others."""
+    layouts = []
+    for q in (2, 3):
+        for variant in Variant:
+            seen = set()
+            for l, p in ((10, 2), (6, 3), (8, 3), (9, 4), (12, 4)):
+                for n in (7, 8, 9, 14, 23, 31, 40):
+                    for k in (1, 2, 3, 4, 5):
+                        try:
+                            sp = SegmentedParams(variant, q=q, n=n, l=l, p=p, k=k)
+                        except ValueError:
+                            continue
+                        head, tail = sp.segment_lengths[0], sp.segment_lengths[-1]
+                        if k == 1:
+                            seen.add("one")
+                        else:
+                            seen.add("short tail" if tail < head else "even")
+                        layouts.append(sp)
+            assert seen == {"one", "even", "short tail"}, (q, variant)
+    return layouts
+
+
+def test_matches_segment_at_a_time_oracle():
+    rng = np.random.default_rng(23)
+    for sp in _oracle_layouts():
+        idx = np.arange(sp.n)
+        messages = [np.zeros(sp.n, dtype=np.int64), idx % 2]
+        messages += [rng.integers(0, sp.q, size=sp.n) for _ in range(4)]
+        for arr in messages:
+            x = Word(arr, sp.q)
+            y = segmented.encode(x, sp)
+            assert y == naive_segmented_encode(x, sp), sp
+            assert segmented.decode(y, sp) == naive_segmented_decode(y, sp) == x
+
+
+def _outcome(decoder, y, sp):
+    try:
+        return decoder(y, sp)
+    except CorruptCodewordError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("variant", [Variant.SEPARATOR, Variant.GLUE_ONLY])
+@pytest.mark.parametrize("q", [2, 3])
+def test_every_symbol_change_decodes_like_the_oracle(variant, q):
+    """Change each symbol of k = 3 codewords to each other value: the
+    result, or the first error met by a walk that decodes segment j - 1
+    before it checks joint j, must be the oracle's."""
+    sp = SegmentedParams(variant, q=q, n=23, l=6, p=3, k=3)
+    rng = np.random.default_rng(q)
+    messages = [np.zeros(sp.n, dtype=np.int64), np.arange(sp.n) % 2]
+    messages += [rng.integers(0, q, size=sp.n) for _ in range(6)]
+    errors = set()
+    for arr in messages:
+        y = segmented.encode(Word(arr, q), sp).to_list()
+        for i in range(len(y)):
+            for a in range(q):
+                if a == y[i]:
+                    continue
+                z = Word(y[:i] + [a] + y[i + 1 :], q)
+                got = _outcome(segmented.decode, z, sp)
+                assert got == _outcome(naive_segmented_decode, z, sp), (arr, i, a)
+                if isinstance(got, str):
+                    errors.add(got.split(" ")[0])
+    # both kinds of failure occur: a damaged joint and a damaged segment
+    assert "glue" in errors and len(errors) > 1
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(codec, name)
+
+    def counted(word, params):
+        calls.append(word)
+        return real(word, params)
+
+    monkeypatch.setattr(codec, name, counted)
+    return calls
+
+
+def test_work_only_on_rows_that_need_it(monkeypatch):
+    """Deterministic companion of the timing numbers: encode repairs only
+    the segments whose marked message has an offending window, and decode
+    inverts only the codewords that end in 0; the rest cost no call."""
+    sp = segmented.plan(2, 10**4, 12, 4, Variant.GLUE_ONLY)
+    x = Word(np.random.default_rng(3).integers(0, 2, size=sp.n), 2)
+    starts = np.cumsum((0,) + sp.segment_lengths)
+    marked = [x[a:b] + Word([1], 2) for a, b in zip(starts, starts[1:])]
+    need_repair = [
+        j for j, w in enumerate(marked) if first_violation(w, sp.base[j].l, sp.p)
+    ]
+    assert 0 < len(need_repair) < sp.k // 2
+
+    encoded = _counting(monkeypatch, "encode")
+    y = segmented.encode(x, sp)
+    assert len(encoded) == len(need_repair)
+    assert encoded == [x[starts[j] : starts[j + 1]] for j in need_repair]
+
+    step = sp.segment_lengths[0] + 1 + sp.joint_length
+    ends = [y[j * step + sp.segment_lengths[j]] for j in range(sp.k)]
+    decoded = _counting(monkeypatch, "decode")
+    assert segmented.decode(y, sp) == x
+    assert len(decoded) == ends.count(0) == len(need_repair)
 
 
 # ------------------------------------------------------- decode hardening
