@@ -10,6 +10,26 @@ until the original marker ``1`` reappears at the end.
 
 (q, n, p) fix the code: the window l is the least whose l - p - 1 index
 digits can address every window start, n <= q**(l - p - 1) + l - 2.
+
+``encode`` and ``decode`` each hold their state in one writable array
+and change it in place.  ``_excise`` and ``_restore`` are the two
+directions of the record format, written once: an excision is one left
+shift of the tail over the window (a memmove) plus one write of the
+record, and a restore copies the tail aside, shifts it back right and
+writes the rebuilt window.  ``repair``, ``inverse_repair`` and
+``replay_trace`` call them on a copy of their input.
+
+The first scan reads the whole word, since most messages need no
+repair.  After a repair at window ``i``, the symbols before ``i`` are
+unchanged, and every window that starts at ``i - l`` or earlier lies
+among them and was clean, or ``i`` would not have been the first
+offender.  So the next scan resumes at ``i - l + 1``.  It probes slices
+of 2l, 4l, 8l, ... symbols, overlapping by l - 1 so every window lies
+whole in one probe, and takes the rest of the word at once when fewer
+than 16l symbols would be left: a step scans O(l + distance to the next
+offender) symbols, not the whole word.  What each step still costs is
+the tail shift, O(n) bytes copied in C, and in ``decode`` the compare of
+Brent's cycle guard, also O(n).
 """
 
 from __future__ import annotations
@@ -138,69 +158,43 @@ def _digits_value(digits: list[int], q: int) -> int:
     return value
 
 
-def _apply_repair(y: Word, params: LpaParams, index: int, period: int) -> Word:
-    """Excise the window at ``index`` and append its repair record."""
-    arr = y.symbols
-    l, p = params.l, params.p
-    kernel = arr[index : index + period].tolist()
-    record = np.array(
-        kernel
+def _excise(buf: np.ndarray, params: LpaParams, index: int, period: int) -> np.ndarray:
+    """Excise the window at ``index`` from the state ``buf`` in place and
+    write its repair record over the last l symbols; returns a copy of the
+    window's kernel."""
+    l, total = params.l, len(buf)
+    # A copy, not a view: the shift below overwrites the window, and the
+    # kernel outlives this step in the trace.
+    kernel = buf[index : index + period].copy()
+    record = (
+        kernel.tolist()
         + [1]
-        + [0] * (p - period - 1)
+        + [0] * (params.p - period - 1)
         + _index_digits(index, params.index_width, params.q)
-        + [0],
-        dtype=arr.dtype,
+        + [0]
     )
-    out = np.concatenate([arr[:index], arr[index + l :], record])
-    return Word._trusted(out, params.q)
+    buf[index : total - l] = buf[index + l :]
+    buf[total - l :] = record
+    return kernel
 
 
-def repair(y: Word, params: LpaParams) -> tuple[Word, RepairStep]:
-    """Remove the first offending window of ``y`` and log it at the end.
-
-    ``y`` must have n + 1 symbols and at least one window with a period
-    below p; the output has the same length and always ends in 0.
-    """
-    _check_state(y, params)
-    violation = first_violation(y, params.l, params.p)
-    if violation is None:
-        raise ValueError("word has no offending window; nothing to repair")
-    return _repair_at(y, params, violation)
-
-
-def _repair_at(
-    y: Word, params: LpaParams, violation: WindowViolation
-) -> tuple[Word, RepairStep]:
-    start, period = violation.index, violation.least_period
-    # A copy, not a view: a view would keep every intermediate state alive
-    # until the encode returns.
-    kernel = Word._trusted(y.symbols[start : start + period].copy(), params.q)
-    step = RepairStep(index=start, least_period=period, kernel=kernel)
-    return _apply_repair(y, params, start, period), step
-
-
-def inverse_repair(y: Word, params: LpaParams) -> Word:
-    """Undo one repair record; ``y`` must end in the step marker 0.
+def _restore(buf: np.ndarray, params: LpaParams) -> None:
+    """Undo, in place, the repair record that fills the last l symbols of
+    the state ``buf``; the caller has checked that ``buf`` ends in 0.
 
     Raises CorruptCodewordError when the record cannot have been produced
-    by ``repair``: index out of range, an all-zero kernel block, or a
+    by ``_excise``: index out of range, an all-zero kernel block, or a
     kernel separator other than 1.
     """
-    _check_state(y, params)
-    if y[-1] != 0:
-        raise ValueError("inverse repair requires a word ending in 0")
-    syms = y.symbols
-    total = params.n + 1
-    l, p, width, q = params.l, params.p, params.index_width, params.q
-
-    digits = syms[total - 1 - width : total - 1].tolist()
-    index = _digits_value(digits, q)
+    l, p, total = params.l, params.p, len(buf)
+    record = buf[total - l :].tolist()
+    index = _digits_value(record[p:-1], params.q)
     if index > total - l:
         raise CorruptCodewordError(
             f"window index {index} exceeds the last window start {total - l}"
         )
 
-    block = syms[total - 1 - width - p : total - 1 - width].tolist()
+    block = record[:p]
     period = None
     for pos in range(p - 1, -1, -1):
         if block[pos] != 0:
@@ -215,19 +209,79 @@ def inverse_repair(y: Word, params: LpaParams) -> Word:
     if period < 1:
         raise CorruptCodewordError("kernel block encodes an impossible period 0")
 
-    kernel = np.asarray(block[:period], dtype=syms.dtype)
-    reps = -(-l // period)
-    window = np.tile(kernel, reps)[:l]
-    base = syms[: total - l]
-    out = np.concatenate([base[:index], window, base[index:]])
-    return Word._trusted(out, q)
+    # Build the window before the shift overwrites its record.  The tail
+    # goes aside first: numpy shifts an overlapping slice right many times
+    # slower than it copies a separate one.
+    window = buf[total - l : total - l + period][np.arange(l) % period]
+    tail = buf[index : total - l].copy()
+    buf[index + l :] = tail
+    buf[index : index + l] = window
 
 
-def _append_marker(x: Word, params: LpaParams) -> Word:
+def _marked(x: Word) -> np.ndarray:
+    """A writable copy of the message followed by the marker 1."""
     arr = x.symbols
-    return Word._trusted(
-        np.concatenate([arr, np.ones(1, dtype=arr.dtype)]), params.q
-    )
+    return np.concatenate([arr, np.ones(1, dtype=arr.dtype)])
+
+
+def _scan(
+    buf: np.ndarray, params: LpaParams, start: int, size: int
+) -> WindowViolation | None:
+    """First offending window of the state ``buf`` that starts at ``start``
+    or later, or None.
+
+    Probes slices of ``size``, 2 * size, 4 * size, ... symbols, each
+    overlapping the one before by l - 1, so every window lies whole in
+    some probe and the leftmost offender of the first probe that finds one
+    is the leftmost overall.  A probe that would leave fewer than 16l
+    symbols takes them too: one call costs about as much as scanning
+    thousands of symbols, so a short word, such as a segment, gets one
+    probe.  Each probe goes through the name ``first_violation``, so a
+    wrapper bound to it sees every symbol scanned.
+    """
+    l, q, total = params.l, params.q, len(buf)
+    while True:
+        stop = start + size
+        if stop > total - 16 * l:
+            stop = total
+        found = first_violation(Word._trusted(buf[start:stop], q), l, params.p)
+        if found is not None:
+            return WindowViolation(start + found.index, found.least_period)
+        if stop == total:
+            return None
+        start, size = stop - l + 1, 2 * size
+
+
+def repair(y: Word, params: LpaParams) -> tuple[Word, RepairStep]:
+    """Remove the first offending window of ``y`` and log it at the end.
+
+    ``y`` must have n + 1 symbols and at least one window with a period
+    below p; the output has the same length and always ends in 0.
+    """
+    _check_state(y, params)
+    violation = first_violation(y, params.l, params.p)
+    if violation is None:
+        raise ValueError("word has no offending window; nothing to repair")
+    index, period = violation.index, violation.least_period
+    buf = y.symbols.copy()
+    kernel = _excise(buf, params, index, period)
+    step = RepairStep(index, period, Word._trusted(kernel, params.q))
+    return Word._trusted(buf, params.q), step
+
+
+def inverse_repair(y: Word, params: LpaParams) -> Word:
+    """Undo one repair record; ``y`` must end in the step marker 0.
+
+    Raises CorruptCodewordError when the record cannot have been produced
+    by ``repair``: index out of range, an all-zero kernel block, or a
+    kernel separator other than 1.
+    """
+    _check_state(y, params)
+    if y[-1] != 0:
+        raise ValueError("inverse repair requires a word ending in 0")
+    buf = y.symbols.copy()
+    _restore(buf, params)
+    return Word._trusted(buf, params.q)
 
 
 def encode(x: Word, params: LpaParams) -> tuple[Word, EncodeTrace]:
@@ -235,52 +289,66 @@ def encode(x: Word, params: LpaParams) -> tuple[Word, EncodeTrace]:
 
     Returns the codeword of n + 1 symbols together with the trace of the
     repairs applied.  The states in between are what ``repair`` returns
-    when called in a loop on the marked message.  Termination is
-    guaranteed; the iteration budget of q**4 * (n + 1) only trips on an
-    implementation defect.
+    when called in a loop on the marked message; here they live in one
+    buffer, and each scan resumes l - 1 symbols before the window just
+    excised (see the module docstring).  Termination is guaranteed; the
+    iteration budget of q**4 * (n + 1) only trips on an implementation
+    defect.
     """
     if len(x) != params.n:
         raise ValueError(f"message must have {params.n} symbols, got {len(x)}")
     if x.q != params.q:
         raise ValueError(f"message alphabet {x.q} does not match q={params.q}")
-    y = _append_marker(x, params)
+    buf = _marked(x)
     steps: list[RepairStep] = []
     budget = params.q**4 * (params.n + 1)
-    while (violation := first_violation(y, params.l, params.p)) is not None:
+    # Most messages need no repair, so the first probe is the whole word;
+    # after a repair the next violation tends to lie close by.
+    start, size = 0, len(buf)
+    while (violation := _scan(buf, params, start, size)) is not None:
         if len(steps) >= budget:
             raise AssertionError(
                 "repair loop exceeded its safety budget; the convergence "
                 "argument has been violated"
             )
-        y, step = _repair_at(y, params, violation)
-        steps.append(step)
-    return y, EncodeTrace(steps=tuple(steps))
+        index, period = violation.index, violation.least_period
+        kernel = _excise(buf, params, index, period)
+        steps.append(RepairStep(index, period, Word._trusted(kernel, params.q)))
+        start, size = max(0, index - params.l + 1), 2 * params.l
+    return Word._trusted(buf, params.q), EncodeTrace(steps=tuple(steps))
 
 
 def decode(y: Word, params: LpaParams) -> Word:
     """Invert ``encode``: peel repair records until the marker 1 remains.
 
-    A revisited state means ``y`` was never produced by the encoder, so
-    the walk raises CorruptCodewordError instead of cycling forever.  The
-    guard is Brent's cycle detection: it keeps one saved state, replaced
-    after 1, 2, 4, ... steps, instead of a copy of every state, and still
-    catches any cycle within a few times its length plus its lead-in.
+    A codeword that already ends in its marker is returned as a view of
+    its first n symbols, without a copy; any other is copied once and
+    restored in place.  A revisited state means ``y`` was never produced
+    by the encoder, so the walk raises CorruptCodewordError instead of
+    cycling forever.  The guard is Brent's cycle detection: it keeps one
+    saved state, replaced after 1, 2, 4, ... steps, instead of a copy of
+    every state, and still catches any cycle within a few times its
+    length plus its lead-in.  Comparing with the saved state costs O(n)
+    per step.
     """
     _check_state(y, params)
-    saved, lap, steps = y, 1, 0
-    cur = y
-    while cur[-1] == 0:
-        cur = inverse_repair(cur, params)
-        if cur == saved:
-            raise CorruptCodewordError("repair records form a cycle")
-        steps += 1
-        if steps == lap:
-            saved, lap, steps = cur, 2 * lap, 0
-    if cur[-1] != 1:
+    buf = y.symbols
+    if buf[-1] == 0:
+        buf = buf.copy()
+        saved, lap, steps = buf.tobytes(), 1, 0
+        while buf[-1] == 0:
+            _restore(buf, params)
+            state = buf.tobytes()
+            if state == saved:
+                raise CorruptCodewordError("repair records form a cycle")
+            steps += 1
+            if steps == lap:
+                saved, lap, steps = state, 2 * lap, 0
+    if buf[-1] != 1:
         raise CorruptCodewordError(
-            f"trailing marker must be 1, found {cur[-1]}"
+            f"trailing marker must be 1, found {buf[-1]}"
         )
-    return cur[: params.n]
+    return Word._trusted(buf[: params.n], params.q)
 
 
 def replay_trace(x: Word, params: LpaParams, trace: EncodeTrace) -> Word:
@@ -291,7 +359,7 @@ def replay_trace(x: Word, params: LpaParams, trace: EncodeTrace) -> Word:
     """
     if len(x) != params.n:
         raise ValueError(f"message must have {params.n} symbols, got {len(x)}")
-    y = _append_marker(x, params)
+    buf = _marked(x)
     for step in trace.steps:
         if not 0 <= step.index <= params.n + 1 - params.l:
             raise ValueError(f"recorded window index {step.index} is out of range")
@@ -299,10 +367,11 @@ def replay_trace(x: Word, params: LpaParams, trace: EncodeTrace) -> Word:
             raise ValueError(
                 f"recorded period {step.least_period} is out of range"
             )
-        if y[step.index : step.index + step.least_period] != step.kernel:
+        found = buf[step.index : step.index + step.least_period]
+        if Word._trusted(found, params.q) != step.kernel:
             raise ValueError("recorded kernel does not match the state")
-        y = _apply_repair(y, params, step.index, step.least_period)
-    return y
+        _excise(buf, params, step.index, step.least_period)
+    return Word._trusted(buf, params.q)
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,10 @@ class Word:
             symbols = list(symbols)
         arr = symbols
         if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iu"):
-            arr = np.asarray(symbols, dtype=np.int64)
+            try:
+                arr = np.asarray(symbols, dtype=np.int64)
+            except OverflowError:  # a symbol beyond the int64 range
+                raise ValueError(f"symbols must lie in [0, {q - 1}]") from None
         if arr.ndim != 1:
             raise ValueError("symbols must form a one-dimensional sequence")
         if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= q):

@@ -5,7 +5,11 @@ from the definitions as possible, so the real implementations are tested
 against independent logic rather than themselves.  The segmented oracles
 are the exception: they walk the segments one at a time through the
 library's single-segment codec, so they cross-check the layout and its
-joints, not the codec.
+joints, not the codec.  The codec oracles are the other exception: they
+are the plain repair loop, which rescans the whole word with the library's
+``first_violation`` and builds a new word at every step, so they
+cross-check the in-place engine (its resumed scan and its shifts), not
+the scan.
 """
 
 from itertools import product
@@ -14,7 +18,7 @@ import numpy as np
 
 from lpacodes import codec
 from lpacodes.errors import CorruptCodewordError
-from lpacodes.periodicity import Word
+from lpacodes.periodicity import Word, first_violation
 
 
 def naive_has_period(seq, p):
@@ -173,3 +177,73 @@ def naive_segmented_decode(y, sp):
         previous = codeword.to_list()
         offset = start + length + 1
     return Word(np.concatenate(pieces), sp.q)
+
+
+def _naive_repair_at(y, params, index, period):
+    """The state after excising the window at ``index`` of ``y`` and
+    appending its record, and the kernel it logs."""
+    arr = y.symbols
+    kernel = arr[index : index + period].tolist()
+    digits = []
+    value = index
+    for _ in range(params.index_width):
+        value, digit = divmod(value, params.q)
+        digits.insert(0, digit)
+    record = kernel + [1] + [0] * (params.p - period - 1) + digits + [0]
+    out = np.concatenate([arr[:index], arr[index + params.l :], record])
+    return Word(out, params.q), Word(kernel, params.q)
+
+
+def naive_encode(x, params):
+    """(codeword, [(index, period, kernel), ...]): append the marker 1, then
+    rescan the whole word and repair its first violation until none is left."""
+    y = x + Word([1], params.q)
+    steps = []
+    while (violation := first_violation(y, params.l, params.p)) is not None:
+        index, period = violation.index, violation.least_period
+        y, kernel = _naive_repair_at(y, params, index, period)
+        steps.append((index, period, kernel))
+    return y, steps
+
+
+def naive_inverse_repair(y, params):
+    """Undo the repair record that ends ``y``, building a new word."""
+    if y[-1] != 0:
+        raise ValueError("inverse repair requires a word ending in 0")
+    syms = y.to_list()
+    total, l, p, q = params.n + 1, params.l, params.p, params.q
+    index = 0
+    for d in syms[total - 1 - params.index_width : total - 1]:
+        index = index * q + d
+    if index > total - l:
+        raise CorruptCodewordError(
+            f"window index {index} exceeds the last window start {total - l}"
+        )
+    block = syms[total - l : total - l + p]
+    nonzero = [pos for pos in range(p) if block[pos] != 0]
+    if not nonzero:
+        raise CorruptCodewordError("kernel block is all zero")
+    period = nonzero[-1]
+    if block[period] != 1:
+        raise CorruptCodewordError(
+            f"kernel separator must be 1, found {block[period]}"
+        )
+    if period < 1:
+        raise CorruptCodewordError("kernel block encodes an impossible period 0")
+    window = [block[i % period] for i in range(l)]
+    base = syms[: total - l]
+    return Word(base[:index] + window + base[index:], q)
+
+
+def naive_decode(y, params):
+    """Undo records until the marker 1 ends the word; a state seen before
+    means a cycle.  It keeps every state, not Brent's one saved state."""
+    seen = {y}
+    while y[-1] == 0:
+        y = naive_inverse_repair(y, params)
+        if y in seen:
+            raise CorruptCodewordError("repair records form a cycle")
+        seen.add(y)
+    if y[-1] != 1:
+        raise CorruptCodewordError(f"trailing marker must be 1, found {y[-1]}")
+    return y[: params.n]

@@ -278,12 +278,27 @@ def test_09_linear_scaling_at_desk_scale(capsys):
         assert 8.0 <= ratio <= 12.0, f"scaling ratio {ratio:.2f}"
 
 
+ADVERSARIAL_FAMILIES = {
+    "zeros": lambda n: np.zeros(n, dtype=np.int64),
+    "0101": lambda n: np.arange(n) % 2,
+    "001": lambda n: (np.arange(n) % 3 == 2).astype(np.int64),
+}
+
+
 def test_09_scan_work_per_symbol_is_flat(monkeypatch):
     """Deterministic companion of test_09: instead of wall time, count the
     symbols the window scan reads per message symbol, which a linear
-    encoder keeps flat in n.  Each encode scans the whole word once plus
-    once per repair, and random messages need about 0.1 repairs each; the
-    tolerance allows one repair more per four messages between sizes."""
+    encoder keeps flat in n.
+
+    A random message is scanned once, plus once more past each of its
+    about 0.1 repairs; the tolerance allows one repair more per four
+    messages between sizes.  The adversarial families need about n / l
+    repairs.  The first scan reads the whole word, each repair's scan
+    resumes l - 1 symbols before the excised window and finds the next
+    violation in its first probe of 2l symbols, and the last scan reads
+    the clean word once more: about four symbols per message symbol in
+    all.  A scan of the whole word after every repair would read about
+    n / l symbols per message symbol instead, hundreds at these sizes."""
     scanned = 0
     scan = codec.first_violation
 
@@ -294,15 +309,27 @@ def test_09_scan_work_per_symbol_is_flat(monkeypatch):
 
     monkeypatch.setattr(codec, "first_violation", counting)
     rng = np.random.default_rng(99)
-    per_symbol = []
-    for n, words in ((10**5, 100), (10**6, 20)):
-        params = derive_params(2, n, 4)
-        scanned = 0
-        for _ in range(words):
-            x = Word(rng.integers(0, 2, size=n, dtype=np.int64), 2)
-            y, _ = encode(x, params)
-            assert decode(y, params) == x
-        per_symbol.append(scanned / (n * words))
-    small, large = per_symbol
-    assert abs(large - small) <= 0.25, per_symbol
-    assert max(per_symbol) <= 1.5, per_symbol
+    families = {
+        "random": (
+            lambda n: rng.integers(0, 2, size=n, dtype=np.int64),
+            ((10**5, 100), (10**6, 20)),
+            1.5,
+        ),
+        **{
+            name: (make, ((10**4, 1), (10**5, 1)), 4.5)
+            for name, make in ADVERSARIAL_FAMILIES.items()
+        },
+    }
+    for family, (make, sizes, bound) in families.items():
+        per_symbol = []
+        for n, words in sizes:
+            params = derive_params(2, n, 4)
+            scanned = 0
+            for _ in range(words):
+                x = Word(make(n), 2)
+                y, _ = encode(x, params)
+                assert decode(y, params) == x
+            per_symbol.append(scanned / (n * words))
+        small, large = per_symbol
+        assert abs(large - small) <= 0.25, (family, per_symbol)
+        assert max(per_symbol) <= bound, (family, per_symbol)

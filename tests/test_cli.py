@@ -396,6 +396,26 @@ def test_segmented_plan_rejects_word_file_flags(flag):
     assert info.value.code == 2
 
 
+def test_main_runs_many_commands_in_one_process(tmp_path, capsys):
+    # the parser is built once and shared: an argparse error must leave it
+    # fit for the calls after it, whatever their subcommand
+    src = tmp_path / "in.txt"
+    write_words(src, ["10001010101100"])
+    encode = ["encode", "--q", "2", "--n", "14", "--p", "4", "--in", str(src)]
+    for _ in range(2):
+        assert run(capsys, *encode, "--out", "-")[:2] == (0, "110011010010000\n")
+        with pytest.raises(SystemExit) as info:
+            main([*encode, "--out", "-", "--json"])
+        assert info.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, "params", "--q", "2", "--n", "14", "--p", "4")
+        assert code == 0 and "l=8" in out.splitlines()
+        code, out, _ = run(capsys, "segmented", "plan", *SEGMENTED_LAYOUT, "--json")
+        assert code == 0 and json.loads(out)["k"] >= 1
+        code, out, _ = run(capsys, "check", "--q", "2", "--rll", "5", "--in", str(src))
+        assert (code, out) == (0, "valid\n")
+
+
 # ------------------------------------------------------ word-file pipeline
 
 
@@ -485,6 +505,17 @@ def test_malformed_word_file(tmp_path, capsys):
     )
     assert code == 2
     assert "in.txt:1" in err
+
+
+def test_symbol_beyond_int64_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    write_words(src, ["3,0,11,7,2,9", "99999999999999999999,1,0,1,0,1"])
+    code, out, err = run(
+        capsys, "check", "--q", "12", "--l", "6", "--p", "4", "--in", str(src)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {src}:2: symbols must lie in [0, 11]\n"
 
 
 def test_wrong_length_line(tmp_path, capsys):

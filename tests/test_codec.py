@@ -7,6 +7,7 @@ from lpacodes.codec import (
     EncodeTrace,
     LpaParams,
     RepairStep,
+    _scan,
     decode,
     derive_params,
     encode,
@@ -16,9 +17,15 @@ from lpacodes.codec import (
     step_statistics,
 )
 from lpacodes.errors import CorruptCodewordError, InfeasibleParametersError
-from lpacodes.periodicity import Word, first_violation
+from lpacodes.periodicity import WindowViolation, Word, first_violation
 
-from helpers import all_tuples, naive_window_clean
+from helpers import (
+    all_tuples,
+    naive_decode,
+    naive_encode,
+    naive_inverse_repair,
+    naive_window_clean,
+)
 
 
 # ------------------------------------------------------------- parameters
@@ -158,6 +165,43 @@ def test_repair_inverse_and_injectivity_small():
             images[key] = state.to_text()
 
 
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of its error."""
+    try:
+        return fn(*args)
+    except (CorruptCodewordError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+MALFORMED = [
+    ((2, 14, 4), "0" * 15),  # no separator found
+    ((2, 14, 4), "1" * 15),  # does not end in 0
+    # index field pointing past the last removable window: at (2, 10, 3)
+    # the 3-digit field can say 7 but only indices 0..4 are removable
+    ((2, 10, 3), "0000" + "01" + "1" + "111" + "0"),
+]
+
+
+@pytest.mark.parametrize("qnp,text", MALFORMED)
+def test_malformed_records_rejected_like_the_oracle(qnp, text):
+    params = derive_params(*qnp)
+    word = Word(text, 2)
+    expected = _outcome(naive_inverse_repair, word, params)
+    assert isinstance(expected, tuple)
+    assert _outcome(inverse_repair, word, params) == expected
+    assert _outcome(decode, word, params) == _outcome(naive_decode, word, params)
+
+
+@pytest.mark.parametrize(
+    "text", ["111111010101010", "000001001101000", "000011001100100", "010011001110000"]
+)
+def test_cycles_rejected_like_the_oracle(ex_params, text):
+    word = Word(text, 2)
+    expected = (CorruptCodewordError, "repair records form a cycle")
+    assert _outcome(naive_decode, word, ex_params) == expected
+    assert _outcome(decode, word, ex_params) == expected
+
+
 def test_inverse_repair_rejects_malformed_records(ex_params):
     with pytest.raises(CorruptCodewordError):
         inverse_repair(Word("0" * 15, 2), ex_params)  # no separator found
@@ -183,6 +227,76 @@ def test_exhaustive_round_trip(q, n, p):
         assert len(y) == n + 1
         assert naive_window_clean(y.to_list(), params.l, params.p)
         assert decode(y, params) == x
+
+
+def _steps(trace):
+    return [(s.index, s.least_period, s.kernel) for s in trace.steps]
+
+
+@pytest.mark.parametrize("q,p,largest", [(2, 4, 14), (2, 2, 11), (3, 2, 9), (3, 3, 8)])
+def test_engine_matches_oracle_exhaustively(q, p, largest):
+    # every message encodes, and every word of codeword length decodes or
+    # is rejected, exactly as the rescan-and-copy loop does
+    for n in range(p + 3, largest + 1):
+        params = derive_params(q, n, p)
+        for tup in all_tuples(q, n):
+            x = Word(list(tup), q)
+            y, trace = encode(x, params)
+            assert (y, _steps(trace)) == naive_encode(x, params)
+        for tup in all_tuples(q, n + 1):
+            y = Word(list(tup), q)
+            assert _outcome(decode, y, params) == _outcome(naive_decode, y, params)
+
+
+def _families(n, q, rng):
+    idx = np.arange(n)
+    tail = np.zeros(n, dtype=np.int64)
+    tail[: n // 3] = rng.integers(0, q, size=n // 3)
+    return {
+        "zeros": np.zeros(n, dtype=np.int64),
+        "0101": idx % 2,
+        "001": (idx % 3 == 2).astype(np.int64),
+        "random head, zero tail": tail,
+    }
+
+
+@pytest.mark.parametrize(
+    "q,n,p", [(2, 200, 4), (2, 1000, 5), (2, 5000, 4), (3, 2000, 4)]
+)
+def test_engine_matches_oracle_on_adversarial_families(q, n, p):
+    params = derive_params(q, n, p)
+    for name, arr in _families(n, q, np.random.default_rng(n)).items():
+        x = Word(arr, q)
+        y, trace = encode(x, params)
+        assert len(trace.steps) > n // (2 * params.l), name
+        assert (y, _steps(trace)) == naive_encode(x, params), name
+        assert decode(y, params) == naive_decode(y, params) == x, name
+
+
+def test_resumed_scan_reads_every_window_from_its_start():
+    # one zero run planted at every position of a clean word puts the first
+    # violation next to every probe boundary in turn; the probes must find
+    # what one scan of the whole suffix finds
+    params = derive_params(2, 400, 4)
+    l = params.l
+    clean = encode(Word(np.random.default_rng(1).integers(0, 2, 400), 2), params)[0]
+    for j in range(len(clean) - l + 1):
+        buf = clean.symbols.copy()
+        buf[j : j + l] = 0
+        for start in (0, 1, l - 1, 3 * l):
+            whole = first_violation(Word(buf[start:], 2), l, params.p)
+            expected = whole and WindowViolation(
+                start + whole.index, whole.least_period
+            )
+            for size in (2 * l, len(buf)):
+                assert _scan(buf, params, start, size) == expected
+
+
+def test_decode_of_marked_codeword_copies_nothing(ex_params):
+    x = Word("10110100011010", 2)
+    y, trace = encode(x, ex_params)
+    assert trace.steps == ()
+    assert np.shares_memory(decode(y, ex_params).symbols, y.symbols)
 
 
 def test_decode_validates_length(ex_params):

@@ -56,6 +56,10 @@ def test_word_rejects_out_of_range_symbols():
         Word("3", 3)
     with pytest.raises(ValueError):
         Word([-1, 0], 2)
+    # symbols beyond the int64 range get the same message, not OverflowError
+    for symbols in ([10**20, 1], [-(10**20)], "99999999999999999999,1"):
+        with pytest.raises(ValueError, match=r"symbols must lie in \[0, 11\]"):
+            Word(symbols, 12)
 
 
 def test_word_rejects_bad_alphabet():
@@ -120,6 +124,7 @@ def test_text_round_trip(q, n):
         ("0121", 2, "symbols must lie in [0, 1]"),
         ("1,,0", 2, "invalid literal for int() with base 10: ''"),
         ("1,12", 10, "symbols must lie in [0, 9]"),
+        ("99999999999999999999,1,0", 10, "symbols must lie in [0, 9]"),
     ],
 )
 def test_read_words_error_messages(tmp_path, line, q, message):
