@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceededError
-from .periodicity import Word, _dtype_for, _leftmost_run
+from .periodicity import Word, _dtype_for, _leftmost_run, _rows_with_period
 
 __all__ = [
     "Family",
@@ -127,24 +127,32 @@ def _count_cached(family: Family, q: int, n: int, l: int | None, p: int | None, 
         if family is Family.RLL:
             bad = _leftmost_run(rows == 0, k) >= 0
         else:
-            bad = np.zeros(rows.shape[0], dtype=bool)
             periods = (p,) if family is Family.PA else range(1, min(p, l))
-            for pp in periods:
-                bad |= _leftmost_run(rows[:, : n - pp] == rows[:, pp:], l - pp) >= 0
+            bad = _rows_with_period(rows, l, periods)
         total += int(rows.shape[0] - np.count_nonzero(bad))
     return total
 
 
-def count_brute(query: CountQuery, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact family size by full enumeration; refuses past ``budget`` words."""
-    cost = query.q**query.n
+def _check_budget(
+    q: int,
+    n: int,
+    budget: int,
+    message: str = "enumerating {q}**{n} = {cost} words exceeds the budget of {budget}",
+) -> None:
+    """Refuse to enumerate all q**n words past ``budget`` of them, raising
+    BudgetExceededError with ``message`` (fields q, n, cost, budget)."""
+    cost = q**n
     if cost > budget:
         raise BudgetExceededError(
-            f"enumerating {query.q}**{query.n} = {cost} words exceeds the "
-            f"budget of {budget}",
+            message.format(q=q, n=n, cost=cost, budget=budget),
             cost=cost,
             budget=budget,
         )
+
+
+def count_brute(query: CountQuery, budget: int = DEFAULT_BUDGET) -> int:
+    """Exact family size by full enumeration; refuses past ``budget`` words."""
+    _check_budget(query.q, query.n, budget)
     return _count_cached(query.family, query.q, query.n, query.l, query.p, query.k)
 
 
@@ -346,7 +354,10 @@ def _formula_for(query: CountQuery, budget: int) -> tuple[int | None, str]:
         if n == l:
             return pa_count_whole(q, n, p), "whole-word power difference"
         if l < n:
-            return pa_count_via_rll(q, n, l, p, budget), "zero-run identity"
+            try:
+                return pa_count_via_rll(q, n, l, p, budget), "zero-run identity"
+            except BudgetExceededError as exc:
+                return None, f"zero-run identity skipped: {exc}"
         return None, "no closed form for windows longer than the word"
     if query.family is Family.LPA:
         if n == l and n >= 2 * p - 4:

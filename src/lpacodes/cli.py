@@ -20,7 +20,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -203,14 +202,11 @@ def cmd_count(args) -> int:
 def cmd_stats(args) -> int:
     params = codec.derive_params(args.q, args.n, args.p)
     if args.exhaustive:
-        cost = args.q**args.n
-        if cost > args.budget:
-            raise BudgetExceededError(
-                f"exhaustive statistics over {args.q}**{args.n} = {cost} words "
-                f"exceed the budget of {args.budget}",
-                cost=cost,
-                budget=args.budget,
-            )
+        cardinality._check_budget(
+            args.q, args.n, args.budget,
+            "exhaustive statistics over {q}**{n} = {cost} words "
+            "exceed the budget of {budget}",
+        )
         source = cardinality.all_words(args.q, args.n)
     elif args.infile is not None:
         source = read_words(args.infile, args.q, expected_len=args.n)
@@ -251,13 +247,8 @@ def cmd_segmented(args) -> int:
     if args.variant == "auto":
         selection = segmented.select_construction(args.q, args.n, args.l, args.p)
         sp = selection.params
-        extras = [
-            (
-                "candidates",
-                {v.name: c.total_redundancy for v, c in selection.candidates.items()},
-            ),
-            ("notes", list(selection.notes)),
-        ]
+        costs = {v.name: c.total_redundancy for v, c in selection.candidates.items()}
+        extras = [("candidates", costs)]
     else:
         sp = segmented.plan(
             args.q, args.n, args.l, args.p, segmented.Variant(args.variant)

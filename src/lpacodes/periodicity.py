@@ -9,9 +9,13 @@ Every window question goes through one kernel, ``_leftmost_run``: the
 leftmost run of at least ``need`` True entries in a bool mask.  A window
 has period p exactly when the shift-comparison mask ``w[i] == w[i+p]``
 holds over its first l - p positions, so ``first_violation``, ``is_pa``,
-``is_lpa`` and ``least_period_below`` ask it about such masks, ``is_rll``
-asks it about ``w == 0``, and the counting engine and the segmented codec
-ask it about whole matrices of words at once, one word per row.
+``is_lpa`` and ``least_period_below`` ask it about such masks, and ``is_rll``
+asks it about ``w == 0``.  ``_rows_with_period`` asks it about whole
+matrices of words at once, one word per row, for a set of periods: the
+segmented codec calls it to find the segments that need a repair, and the
+counting engine to filter each chunk of enumerated words (periods below p
+for LPA, exactly p for PA).  ``first_violation`` keeps its own loop over
+one word, because it needs the least period and stops at the first window.
 Whole-word period tests (``has_period`` and ``extension_symbol``) compare
 the two shifted copies directly; ``_extension_symbols``, which
 ``extension_symbol`` calls on one row, does so for many words at once.
@@ -224,6 +228,16 @@ def _leftmost_run(mask: np.ndarray, need: int) -> int | np.ndarray:
     starts = hits.argmax(axis=1)
     starts[~hits[np.arange(rows), starts]] = -1
     return starts
+
+
+def _rows_with_period(rows: np.ndarray, l: int, periods) -> np.ndarray:
+    """Which rows of the 2-D symbol array ``rows`` hold a length-``l``
+    window with a period in ``periods`` (each below l): one 2-D
+    ``_leftmost_run`` per period, OR-ed together."""
+    bad = np.zeros(len(rows), dtype=bool)
+    for period in periods:
+        bad |= _leftmost_run(rows[:, :-period] == rows[:, period:], l - period) >= 0
+    return bad
 
 
 def least_period_below(w: Word, p: int) -> int | None:

@@ -9,9 +9,12 @@ joints, not the codec.  The codec oracles are the other exception: they
 are the plain repair loop, which rescans the whole word with the library's
 ``first_violation`` and builds a new word at every step, so they
 cross-check the in-place engine (its resumed scan and its shifts), not
-the scan.
+the scan.  The planner's oracles are closed forms: from (q, l, p) alone
+they predict whether a joined layout costs no more than half-window, which
+the library decides from exact plans.
 """
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -107,6 +110,26 @@ def naive_plan(q, n, l, p, variant):
         if head >= window and last >= window and q**width >= head - window + 2:
             return k, (head,) * (k - 1) + (last,), k + (k - 1) * joint
     return None
+
+
+def naive_prefers_separator(q, l, p):
+    """Closed-form redundancy comparison: separator beats half-window."""
+    return l >= 3 * p - 3 and _naive_beats_half_window(q, l, p, p + 3)
+
+
+def naive_prefers_glue(q, l, p):
+    """Closed-form redundancy comparison: glue-only beats half-window."""
+    return l >= 4 * p - 7 and _naive_beats_half_window(q, l, p, 3)
+
+
+def _naive_beats_half_window(q, l, p, divisor):
+    # q^(l/2 - p - 1) + l/2 - 2  <=  (q^(l - p - 1) + l - 2) / divisor,
+    # kept exact for odd l by comparing squares of the half-power.
+    rhs = (Fraction(q) ** (l - p - 1) + l - 2) / divisor
+    rest = rhs - Fraction(l, 2) + 2
+    if rest < 0:
+        return False
+    return Fraction(q) ** (l - 2 * p - 2) <= rest * rest
 
 
 def all_tuples(q, n):

@@ -189,6 +189,21 @@ def test_count_formula_mode_skips_enumeration(capsys):
     assert data["formula"] > 0
 
 
+def test_count_formula_mode_never_exceeds_the_budget(capsys):
+    # the zero-run identity would enumerate 2**27 words, over the default budget
+    code, out, _ = run(
+        capsys, "count", "--family", "B", "--q", "2", "--n", "30",
+        "--l", "8", "--p", "3", "--mode", "formula", "--json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["formula"] is None
+    assert data["provenance"] == {
+        "formula": "zero-run identity skipped: enumerating 2**27 = 134217728 "
+        "words exceeds the budget of 16777216"
+    }
+
+
 def test_count_brute_budget_exit(capsys):
     code, _, err = run(
         capsys, "count", "--family", "A", "--q", "2", "--n", "32",
@@ -289,6 +304,24 @@ def test_segmented_plan_explicit_variant(capsys):
     assert data["variant"] == "HALF_WINDOW"
     assert data["k"] == 4
     assert data["segment_window"] == 5
+
+
+PLAN_KEYS = {
+    "variant", "q", "n", "l", "p", "k",
+    "segment_lengths", "segment_window", "total_redundancy",
+}
+
+
+@pytest.mark.parametrize(
+    "variant,extra", [("auto", {"candidates"}), ("sep", set())]
+)
+def test_segmented_plan_json_keys(capsys, variant, extra):
+    code, out, _ = run(
+        capsys, "segmented", "plan", "--variant", variant, "--q", "2",
+        "--n", "28", "--l", "8", "--p", "4", "--json",
+    )
+    assert code == 0
+    assert set(json.loads(out)) == PLAN_KEYS | extra
 
 
 def test_segmented_plan_infeasible(capsys):

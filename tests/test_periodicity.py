@@ -23,6 +23,7 @@ from helpers import (
     naive_first_violation,
     naive_has_period,
     naive_leftmost_run,
+    naive_no_period_p,
     naive_window_clean,
     naive_zero_run_free,
 )
@@ -443,6 +444,23 @@ def test_leftmost_run_rows_match_single_rows():
             want = [periodicity._leftmost_run(row, need) for row in mask]
             assert got.tolist() == want
             assert want == [naive_leftmost_run(row.tolist(), need) for row in mask]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_rows_with_period_matches_naive_per_row(q):
+    """Several periods (all below p) against the LPA oracle, one period
+    (exactly p) against the PA oracle, row by row."""
+    rng = np.random.default_rng(37)
+    for m in (4, 9, 30):
+        for rows in (rng.integers(0, q, size=(60, m)), np.zeros((3, m), dtype=int)):
+            words = rows.tolist()
+            for l in range(2, min(m, 8) + 1):
+                for p in range(2, l + 1):
+                    got = periodicity._rows_with_period(rows, l, range(1, p))
+                    assert got.tolist() == [not naive_window_clean(w, l, p) for w in words]
+                for p in range(1, l):
+                    got = periodicity._rows_with_period(rows, l, (p,))
+                    assert got.tolist() == [not naive_no_period_p(w, l, p) for w in words]
 
 
 # ---------------------------------------------------------- extension_symbol

@@ -10,6 +10,8 @@ from lpacodes.segmented import SegmentedParams, Variant
 from helpers import (
     all_tuples,
     naive_plan,
+    naive_prefers_glue,
+    naive_prefers_separator,
     naive_segmented_decode,
     naive_segmented_encode,
     naive_window_clean,
@@ -417,6 +419,36 @@ def test_closed_form_preference_matches_plans_in_regime():
                     sep = segmented.plan(q, n, l, p, Variant.SEPARATOR)
                 except InfeasibleParametersError:
                     continue
-                predicted = segmented.prefers_separator(q, l, p)
+                predicted = naive_prefers_separator(q, l, p)
                 actual = sep.total_redundancy <= half.total_redundancy
                 assert predicted == actual, (q, n, l, p)
+
+
+@pytest.mark.parametrize(
+    "variant,predicate",
+    [
+        (Variant.SEPARATOR, naive_prefers_separator),
+        (Variant.GLUE_ONLY, naive_prefers_glue),
+    ],
+)
+def test_closed_forms_agree_with_exact_plans(variant, predicate):
+    """Wherever half-window and the other layout are both feasible, the
+    closed-form comparison predicts what the exact plans that
+    ``select_construction`` compares say: the other layout costs no more."""
+    compared = 0
+    for q in (2, 3, 4):
+        for p in range(2, 7):
+            for l in range(4, 25):
+                for n in [*range(5, 300, 7), 10**3, 10**4, 10**5, 10**6]:
+                    try:
+                        candidates = segmented.select_construction(q, n, l, p).candidates
+                    except InfeasibleParametersError:
+                        continue
+                    half = candidates.get(Variant.HALF_WINDOW)
+                    other = candidates.get(variant)
+                    if half is None or other is None:
+                        continue
+                    actual = other.total_redundancy <= half.total_redundancy
+                    assert predicate(q, l, p) == actual, (q, n, l, p)
+                    compared += 1
+    assert compared > 7000
