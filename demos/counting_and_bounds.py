@@ -1,5 +1,5 @@
 """How many words satisfy the window constraint, and how well the
-closed forms and bounds track the true (enumerated) numbers."""
+closed forms and bounds track the true (exact) numbers."""
 
 from lpacodes import build_report, CountQuery, Family
 

@@ -7,7 +7,7 @@ The package has three layers:
 * :mod:`lpacodes.codec` — the single-redundancy-symbol iterative-repair
   encoder/decoder, plus :mod:`lpacodes.segmented` for splitting long
   words into independently repaired segments.
-* :mod:`lpacodes.cardinality` — exact enumeration, closed-form counts,
+* :mod:`lpacodes.cardinality` — exact counts, closed-form counts,
   and bounds for the constrained families.
 """
 

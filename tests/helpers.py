@@ -14,7 +14,9 @@ they predict whether a joined layout costs no more than half-window, which
 the library decides from exact plans.
 """
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -134,6 +136,39 @@ def _naive_beats_half_window(q, l, p, divisor):
 
 def all_tuples(q, n):
     return product(range(q), repeat=n)
+
+
+def naive_count(family, q, n, l=None, p=None, k=None):
+    """Size of a family ("A", "B" or "R") by testing words with the naive
+    predicates.
+
+    Windows only ask which symbols are equal, so for "A" and "B" one word
+    stands for every relabelling of it: the words tested are those whose
+    symbols first appear in the order 0, 1, 2, ..., and one with m distinct
+    symbols counts q (q - 1) ... (q - m + 1) times.  Zero runs only ask
+    which symbols are zero, so for "R" a word over {0, 1} with j ones
+    counts (q - 1)**j times, once for each way to make its ones nonzero.
+    """
+    if family == "R":
+        return sum(
+            (q - 1) ** sum(w) for w in all_tuples(2, n) if naive_zero_run_free(list(w), k)
+        )
+    member = {"A": naive_window_clean, "B": naive_no_period_p}[family]
+    return sum(weight for w, weight in _first_occurrence_words(q, n) if member(w, l, p))
+
+
+@lru_cache(maxsize=None)
+def _first_occurrence_words(q, n):
+    out = []
+    for w in all_tuples(q, n):
+        m = 0
+        for s in w:
+            if s > m:
+                break
+            m += s == m
+        else:
+            out.append((list(w), math.perm(q, m)))
+    return out
 
 
 def naive_extension_symbol(seq, q):

@@ -4,11 +4,13 @@ import pytest
 
 from lpacodes import cardinality as card
 from lpacodes.cardinality import CountQuery, Family, count_brute, mobius
+from lpacodes.codec import derive_params
 from lpacodes.errors import BudgetExceededError
 from lpacodes.periodicity import Word
 
 from helpers import (
     all_tuples,
+    naive_count,
     naive_no_period_p,
     naive_window_clean,
     naive_zero_run_free,
@@ -78,6 +80,83 @@ def test_count_brute_budget():
         count_brute(A(2, 40, 8, 2), budget=1 << 20)
     assert info.value.cost == 2**40
     assert info.value.budget == 1 << 20
+
+
+# ---------------------------------------------------------- count engines
+
+DP = "window-state DP"
+ENUMERATED = "chunked lexicographic enumeration"
+
+
+def by_states(family, q, n, l=None, p=None, k=None):
+    """The state engine's count, never abandoned for enumeration."""
+    count, engine = card._count_exact(family, q, n, l, p, k, None)
+    expected = "zero-run recurrence" if family is Family.RLL else DP
+    if l is not None and l > n:
+        expected = "every word: no window fits"
+    assert engine == expected
+    return count
+
+
+@pytest.mark.parametrize("q,top", [(2, 9), (3, 9), (4, 8)])
+def test_state_counts_match_naive_counts_exhaustively(q, top):
+    # every l, p and k up to n = top (4**9 words would take the naive
+    # oracle about 7 s), windows up to one longer than the word
+    for n in range(1, top + 1):
+        for l in range(2, n + 2):
+            for p in range(2, l + 1):
+                got = by_states(Family.LPA, q, n, l, p)
+                assert got == naive_count("A", q, n, l, p), ("A", q, n, l, p)
+            for p in range(1, l):
+                got = by_states(Family.PA, q, n, l, p)
+                assert got == naive_count("B", q, n, l, p), ("B", q, n, l, p)
+        for k in range(1, n + 1):
+            assert by_states(Family.RLL, q, n, k=k) == naive_count("R", q, n, k=k), (q, n, k)
+
+
+@pytest.mark.parametrize("q,n", [(2, 16), (3, 10), (4, 8)])
+def test_state_counts_match_enumeration(q, n):
+    # the largest n with q**n <= 2**16; every third window length up to 12
+    # (past that, near n ~ l ~ p, the unbounded DP takes seconds)
+    for l in range(2, min(n, 12) + 1, 3):
+        for p in range(2, l + 1):
+            assert by_states(Family.LPA, q, n, l, p) == card._enumerate(
+                Family.LPA, q, n, l, p, None
+            ), ("A", q, n, l, p)
+        for p in range(1, l):
+            assert by_states(Family.PA, q, n, l, p) == card._enumerate(
+                Family.PA, q, n, l, p, None
+            ), ("B", q, n, l, p)
+    for k in range(1, n + 1):
+        assert by_states(Family.RLL, q, n, k=k) == card._enumerate(
+            Family.RLL, q, n, None, None, k
+        ), (q, n, k)
+
+
+def test_engine_choice_each_side():
+    # a DP allowed no states gives way to enumeration, with the same count
+    for family, l, p in ((Family.LPA, 6, 3), (Family.PA, 7, 4)):
+        dp = card._count_exact(family, 3, 9, l, p, None, None)
+        enumerated = card._count_exact(family, 3, 9, l, p, None, 0)
+        assert dp[1] == DP and enumerated[1] == ENUMERATED
+        assert dp[0] == enumerated[0]
+    # left to itself the library counts by states far from n ~ l ~ p and
+    # enumerates near it, where the automaton is as large as the word space
+    report = card.build_report(A(2, 18, 6, 3))
+    assert (report.exact, report.provenance["exact"]) == (158592, DP)
+    report = card.build_report(B(2, 17, 12, 10))
+    assert (report.exact, report.provenance["exact"]) == (34816, ENUMERATED)
+
+
+def test_codes_fit_inside_the_counted_family():
+    # encode maps q**n messages one to one into LPA(q, n + 1, l, p)
+    for q in (2, 3):
+        for p in (3, 4):
+            for n in range(p + 3, 64):
+                if q ** (n + 1) > card.DEFAULT_BUDGET:
+                    break
+                l = derive_params(q, n, p).l
+                assert count_brute(A(q, n + 1, l, p)) >= q**n, (q, n, l, p)
 
 
 def test_query_validation():
@@ -218,6 +297,20 @@ def test_upper_bound_falls_back_to_analytic():
     got = card.lpa_count_upper(2, 64, 10, 4, budget=1 << 20)
     assert got is not None
     assert got >= card.lpa_count_lower(2, 64, 10, 4)
+
+
+def test_upper_bound_label_names_the_branch_taken():
+    # the relaxation counts zero-run words of length m = n - p + 1 = 61
+    q, n, l, p = 2, 64, 10, 4
+    m = n - p + 1
+    exact = card.build_report(A(q, n, l, p), include_exact=False, budget=q**m)
+    analytic = card.build_report(A(q, n, l, p), include_exact=False, budget=q**m - 1)
+    assert exact.provenance["upper_bound"] == "exact zero-run relaxation"
+    assert analytic.provenance["upper_bound"] == "analytic zero-run relaxation, ceiled"
+    assert exact.lower_bound <= exact.upper_bound <= analytic.upper_bound
+    neither = card.build_report(A(2, 30, 25, 4), include_exact=False, budget=1 << 10)
+    assert neither.upper_bound is None
+    assert "upper_bound" not in neither.provenance
 
 
 def test_upper_bound_absent_when_nothing_applies():

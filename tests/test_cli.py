@@ -178,6 +178,23 @@ def test_count_rll_family(capsys):
     assert json.loads(out)["exact"] == 5
 
 
+def test_count_json_names_the_engine(capsys):
+    # far from n ~ l ~ p the count runs by states, near it by enumeration;
+    # zero-run words by recurrence (2**40 of them: a 5-step Fibonacci number)
+    for args, exact, engine in (
+        (("A", "--n", "18", "--l", "6", "--p", "3"), 158592, "window-state DP"),
+        (("B", "--n", "17", "--l", "12", "--p", "10"), 34816, "chunked lexicographic enumeration"),
+        (("R", "--n", "40", "--k", "5"), 585029621920, "zero-run recurrence"),
+    ):
+        code, out, _ = run(
+            capsys, "count", "--family", args[0], "--q", "2", *args[1:],
+            "--mode", "brute", "--budget", str(2**40), "--json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert (data["exact"], data["provenance"]["exact"]) == (exact, engine)
+
+
 def test_count_formula_mode_skips_enumeration(capsys):
     code, out, _ = run(
         capsys, "count", "--family", "B", "--q", "2", "--n", "20",
