@@ -341,11 +341,12 @@ def lpa_count_near_whole(q: int, n: int, l: int, p: int) -> int:
 
 
 def lpa_count_lower(q: int, n: int, l: int, p: int) -> int:
-    """Existence lower bound: floor of q**n * (1 - n / ((q-1) q**(l-p)))."""
+    """Existence lower bound: floor of q**n * (1 - n / ((q-1) q**(l-p))),
+    or 0 where that is negative (a family size is never below 0)."""
     if l <= p:
         raise ValueError("window length must exceed the period target")
     value = Fraction(q**n) * (1 - Fraction(n, (q - 1) * q ** (l - p)))
-    return math.floor(value)
+    return max(0, math.floor(value))
 
 
 def rll_count_upper(q: int, n: int, k: int) -> int:
@@ -459,17 +460,17 @@ class CountReport:
         if self.exact is not None and self.formula is not None:
             if self.exact != self.formula:
                 problems.append(
-                    f"formula value {self.formula} != enumerated value {self.exact}"
+                    f"formula value {self.formula} != exact value {self.exact}"
                 )
         if self.exact is not None and self.lower_bound is not None:
             if self.lower_bound > self.exact:
                 problems.append(
-                    f"lower bound {self.lower_bound} exceeds enumerated value {self.exact}"
+                    f"lower bound {self.lower_bound} exceeds exact value {self.exact}"
                 )
         if self.exact is not None and self.upper_bound is not None:
             if self.exact > self.upper_bound:
                 problems.append(
-                    f"enumerated value {self.exact} exceeds upper bound {self.upper_bound}"
+                    f"exact value {self.exact} exceeds upper bound {self.upper_bound}"
                 )
         return problems
 

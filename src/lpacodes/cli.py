@@ -6,8 +6,9 @@ Exit codes are part of the contract:
   2  usage problem: bad flags, malformed word file, infeasible parameters
   3  corrupt codeword encountered while decoding
   4  a checked constraint or invariant was violated (invalid word found,
-     formula/enumeration mismatch, mean-step bound exceeded)
-  5  requested work exceeds the enumeration budget
+     formula/exact-count mismatch, mean-step bound exceeded)
+  5  requested work exceeds the budget of q**n words (--budget) that
+     exact counts and exhaustive statistics may cover
 
 Word files hold one word per line: contiguous digits for q <= 10,
 comma-separated integers for larger alphabets.  Blank lines and lines

@@ -30,6 +30,13 @@ than 16l symbols would be left: a step scans O(l + distance to the next
 offender) symbols, not the whole word.  What each step still costs is
 the tail shift, O(n) bytes copied in C, and in ``decode`` the compare of
 Brent's cycle guard, also O(n).
+
+``_encode_rows`` and ``_decode_rows`` run the same loops over a matrix of
+short words at once, one word per row (the segments of a segmented
+layout), so a pass costs a few array operations instead of a call per
+row.  ``_excise_rows`` and ``_restore_rows`` are the record format in that
+batched form; each pass rescans every live row whole, since a row is
+shorter than one probe.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CorruptCodewordError
-from .periodicity import Word, WindowViolation, first_violation
+from .periodicity import Word, WindowViolation, _first_windows, first_violation
 
 __all__ = [
     "LpaParams",
@@ -349,6 +356,128 @@ def decode(y: Word, params: LpaParams) -> Word:
             f"trailing marker must be 1, found {buf[-1]}"
         )
     return Word._trusted(buf[: params.n], params.q)
+
+
+def _excise_rows(
+    state: np.ndarray, params: LpaParams, index: np.ndarray, period: np.ndarray
+) -> np.ndarray:
+    """``_excise`` on every row of the 2-D ``state`` at once, the window of
+    row r at ``index[r]`` with least period ``period[r]``; returns the new
+    states as a new array.  The tails move left by one masked select."""
+    rows, total = state.shape
+    l, p, q = params.l, params.p, params.q
+    start = total - l
+    out = np.empty_like(state)
+    before = np.arange(start) < index[:, None]
+    out[:, :start] = np.where(before, state[:, :start], state[:, l:])
+    slot = np.arange(p)
+    kernel = state[np.arange(rows)[:, None], index[:, None] + slot]
+    out[:, start : start + p] = np.where(
+        slot < period[:, None], kernel, slot == period[:, None]
+    )
+    # every index is below total, so a weight capped at total still gives
+    # the digit 0, as its power would, and fits an int64
+    weights = [min(q**e, total) for e in range(params.index_width - 1, -1, -1)]
+    out[:, start + p : -1] = index[:, None] // np.array(weights) % q
+    out[:, -1] = 0
+    return out
+
+
+def _restore_rows(state: np.ndarray, params: LpaParams) -> tuple[np.ndarray, np.ndarray]:
+    """``_restore`` on every row of the 2-D ``state`` at once; returns the
+    new states as a new array and which rows were sound: those that end in
+    the step marker 0 and whose record passes ``_restore``'s checks.  The
+    other rows of the result are meaningless."""
+    rows, total = state.shape
+    l, p, q = params.l, params.p, params.q
+    start = total - l
+    block = state[:, start : start + p]
+    period = p - 1 - (block[:, ::-1] != 0).argmax(axis=1)
+    weights = [q**e for e in range(params.index_width - 1, -1, -1)]
+    # a nonzero digit whose weight passes every window start puts the index
+    # out of range; the others add up to less than q * start, an int64
+    high = sum(w > start for w in weights)
+    digits = state[:, start + p : -1].astype(np.int64)
+    index = digits[:, high:] @ np.array(weights[high:], dtype=np.int64)
+    sound = (
+        (state[:, -1] == 0)
+        & ~digits[:, :high].any(axis=1)
+        & (index <= start)
+        & (block[np.arange(rows), period] == 1)  # fails on an all-zero block too
+        & (period >= 1)
+    )
+    # an unsound row's result is dropped; it only has to index in range
+    period, index = np.maximum(period, 1), np.minimum(index, start)
+    at = np.arange(rows)[:, None]
+    window = state[at, start + np.arange(l) % period[:, None]]
+    out = state.copy()
+    after = np.arange(l, total) >= index[:, None] + l
+    np.copyto(out[:, l:], state[:, :start], where=after)
+    out[at, index[:, None] + np.arange(l)] = window
+    return out, sound
+
+
+def _encode_rows(msgs: np.ndarray, params: LpaParams) -> np.ndarray:
+    """Codewords of the messages in the rows of the 2-D ``msgs``, each what
+    ``encode`` returns for it.  One repair loop serves every row: each pass
+    finds the leftmost offending window and its least period in every row
+    still live, excises them all in one ``_excise_rows``, and retires the
+    rows that were already clean."""
+    rows, n = msgs.shape
+    out = np.ones((rows, n + 1), dtype=msgs.dtype)
+    out[:, :n] = msgs
+    live, state, steps = np.arange(rows), out, 0
+    budget = params.q**4 * (n + 1)
+    while True:
+        index, period = _first_windows(state, params.l, range(1, params.p))
+        bad = index >= 0
+        if steps:
+            out[live[~bad]] = state[~bad]
+        if not bad.any():
+            return out
+        if steps >= budget:
+            raise AssertionError(
+                "repair loop exceeded its safety budget; the convergence "
+                "argument has been violated"
+            )
+        live, steps = live[bad], steps + 1
+        state = _excise_rows(state[bad], params, index[bad], period[bad])
+
+
+def _decode_rows(codewords: np.ndarray, params: LpaParams) -> np.ndarray:
+    """Messages of the codewords in the rows of the 2-D ``codewords``, each
+    what ``decode`` returns for it.  One inverse loop serves every row that
+    does not end in its marker 1: each pass undoes the last record of all
+    of them in one ``_restore_rows`` and retires the rows that now end in
+    1.  Brent's guard runs on all rows in step, since each takes one step
+    per pass.
+
+    Errors are those of ``decode`` on the rows one by one: once a row is
+    known to fail (an unsound record, a cycle), the rows after it stop,
+    and the first failing row goes through ``decode`` to raise its error.
+    """
+    rows = len(codewords)
+    msgs = codewords[:, :-1].copy()
+    live = np.flatnonzero(codewords[:, -1] != 1)
+    state, first_bad = codewords[live], rows
+    saved, lap, steps = state, 1, 0
+    while live.size:
+        state, sound = _restore_rows(state, params)
+        cycled = sound & (state == saved).all(axis=1)
+        failed = live[~sound | cycled]
+        if failed.size:  # every live row lies before the first known failure
+            first_bad = int(failed[0])
+        done = sound & (state[:, -1] == 1)
+        msgs[live[done]] = state[done, :-1]
+        keep = sound & ~cycled & ~done & (live < first_bad)
+        live, state, saved = live[keep], state[keep], saved[keep]
+        steps += 1
+        if steps == lap:
+            saved, lap, steps = state, 2 * lap, 0
+    if first_bad < rows:
+        decode(Word._trusted(codewords[first_bad], params.q), params)
+        raise AssertionError("decode accepted a codeword its batched form rejects")
+    return msgs
 
 
 def replay_trace(x: Word, params: LpaParams, trace: EncodeTrace) -> Word:

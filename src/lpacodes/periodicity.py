@@ -10,12 +10,15 @@ leftmost run of at least ``need`` True entries in a bool mask.  A window
 has period p exactly when the shift-comparison mask ``w[i] == w[i+p]``
 holds over its first l - p positions, so ``first_violation``, ``is_pa``,
 ``is_lpa`` and ``least_period_below`` ask it about such masks, and ``is_rll``
-asks it about ``w == 0``.  ``_rows_with_period`` asks it about whole
-matrices of words at once, one word per row, for a set of periods: the
-segmented codec calls it to find the segments that need a repair, and the
-counting engine to filter each chunk of enumerated words (periods below p
-for LPA, exactly p for PA).  ``first_violation`` keeps its own loop over
-one word, because it needs the least period and stops at the first window.
+asks it about ``w == 0``.  One row is a substring search; a matrix of
+rows takes log-step doubling (see ``_leftmost_run``).  ``_first_windows``
+asks it about whole matrices of words at once, one word per row, for a set
+of periods, and returns each row's leftmost offending window and its least
+period: the codec's batched repair loop calls it on the segments of a
+segmented layout.  ``_rows_with_period`` keeps only whether a row has one,
+for the counting engine's filter over each chunk of enumerated words
+(periods below p for LPA, exactly p for PA).  ``first_violation`` keeps
+its own loop over one word, because it stops at the first window.
 Whole-word period tests (``has_period`` and ``extension_symbol``) compare
 the two shifted copies directly; ``_extension_symbols``, which
 ``extension_symbol`` calls on one row, does so for many words at once.
@@ -213,31 +216,52 @@ def _leftmost_run(mask: np.ndarray, need: int) -> int | np.ndarray:
     Bool entries are single 0/1 bytes, so one row's run is a substring
     search for ``need`` one-bytes, which CPython runs in C: in linear time
     once the row has 30,000 entries, and in at most m * need byte
-    comparisons below that.  Several rows at once take one prefix-sum pass
-    instead, which avoids a Python-level call per row.
+    comparisons below that.  Several rows at once take log-step doubling
+    instead, which avoids a Python-level call per row: a run of w ones at
+    j and a run of w ones at j + s, with s <= w, make a run of w + s ones
+    at j, so about log2(need) ANDs of the mask with itself shifted leave
+    entry j True exactly when a run of ``need`` starts there, and
+    ``argmax`` finds the first per row.  Each AND builds a new, shorter
+    mask: ANDing a mask in place with an overlapping slice of itself
+    makes numpy buffer the slice anyway, and measured slower.
     """
     if mask.ndim == 1:
         return mask.tobytes().find(b"\x01" * need)
     rows, m = mask.shape
     if m < need:
         return np.full(rows, -1)
-    counts = mask.cumsum(axis=1, dtype=np.int32)
-    sums = counts[:, need - 1 :].copy()
-    sums[:, 1:] -= counts[:, : m - need]
-    hits = sums == need
-    starts = hits.argmax(axis=1)
-    starts[~hits[np.arange(rows), starts]] = -1
+    width = 1
+    while width < need:
+        step = min(width, need - width)
+        mask = mask[:, :-step] & mask[:, step:]
+        width += step
+    starts = mask.argmax(axis=1)
+    starts[~mask[np.arange(rows), starts]] = -1
     return starts
+
+
+def _first_windows(
+    rows: np.ndarray, l: int, periods
+) -> tuple[np.ndarray, np.ndarray]:
+    """Leftmost length-``l`` window of each row of the 2-D symbol array
+    ``rows`` with a period in ``periods`` (ascending, each below l), and
+    the least such period of that window: two arrays, -1 and 0 where a
+    row has none.  Ties go to the smaller period, as in
+    ``first_violation``; one 2-D ``_leftmost_run`` per period."""
+    index = np.full(len(rows), -1)
+    least = np.zeros(len(rows), dtype=np.int64)
+    for period in periods:
+        start = _leftmost_run(rows[:, :-period] == rows[:, period:], l - period)
+        better = (start >= 0) & ((index < 0) | (start < index))
+        index[better] = start[better]
+        least[better] = period
+    return index, least
 
 
 def _rows_with_period(rows: np.ndarray, l: int, periods) -> np.ndarray:
     """Which rows of the 2-D symbol array ``rows`` hold a length-``l``
-    window with a period in ``periods`` (each below l): one 2-D
-    ``_leftmost_run`` per period, OR-ed together."""
-    bad = np.zeros(len(rows), dtype=bool)
-    for period in periods:
-        bad |= _leftmost_run(rows[:, :-period] == rows[:, period:], l - period) >= 0
-    return bad
+    window with a period in ``periods`` (ascending, each below l)."""
+    return _first_windows(rows, l, periods)[0] >= 0
 
 
 def least_period_below(w: Word, p: int) -> int | None:

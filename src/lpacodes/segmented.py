@@ -22,12 +22,13 @@ plan costs the fewest symbols.  Closed-form comparisons of the layouts
 from (q, l, p) alone are a test oracle for that choice, not library code.
 
 ``encode`` and ``decode`` work on the k - 1 equal segments as one matrix,
-one segment per row, and on the tail as a one-row matrix.
-``periodicity._rows_with_period`` (one 2-D window scan per period) finds
-the rows that need a repair, and only those go through ``codec.encode``;
-a codeword that ends in its marker 1 is its message plus that marker, so
-only the others go through ``codec.decode``.
-Every joint comes from the matrices of segment flanks in one pass.
+one segment per row, and on the tail as a one-row matrix.  The codec's
+batched repair loop (``codec._encode_rows``) repairs all rows of a matrix
+together, one pass per repair, and drops each row once it is clean; its
+inverse (``codec._decode_rows``) undoes one record in every row per pass
+and drops each row once it ends in its marker 1.  Only a corrupt segment
+goes through ``codec.decode`` on its own, to raise its error.  Every joint
+comes from the matrices of segment flanks in one pass.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from . import codec
 from .codec import LpaParams, _capacity
 from .errors import CorruptCodewordError, InfeasibleParametersError
-from .periodicity import Word, _extension_symbols, _rows_with_period
+from .periodicity import Word, _extension_symbols
 # perfbench/tracer.py wraps extension_symbol under this module's name
 from .periodicity import extension_symbol  # noqa: F401
 
@@ -178,28 +179,6 @@ def _joints(sp: SegmentedParams, heads: np.ndarray, tail: np.ndarray) -> np.ndar
     return out
 
 
-def _encode_rows(msgs: np.ndarray, params: LpaParams) -> np.ndarray:
-    """Codewords of the messages in the rows of ``msgs``.  A row whose
-    marked message (the row plus the marker 1) has no offending window is
-    its own codeword; only the rows with one go through ``codec.encode``."""
-    rows, m = msgs.shape
-    out = np.ones((rows, m + 1), dtype=msgs.dtype)
-    out[:, :m] = msgs
-    for r in np.flatnonzero(_rows_with_period(out, params.l, range(1, params.p))):
-        out[r] = codec.encode(Word._trusted(msgs[r], params.q), params)[0].symbols
-    return out
-
-
-def _decode_rows(codewords: np.ndarray, params: LpaParams) -> np.ndarray:
-    """Messages of the codewords in the rows of ``codewords``.  A row that
-    ends in the marker 1 holds its message before it, which is all that
-    ``codec.decode`` would return; only the other rows go through it."""
-    msgs = codewords[:, :-1].copy()
-    for r in np.flatnonzero(codewords[:, -1] != 1):
-        msgs[r] = codec.decode(Word._trusted(codewords[r], params.q), params).symbols
-    return msgs
-
-
 def plan(q: int, n: int, l: int, p: int, variant: Variant) -> SegmentedParams:
     """Smallest segment count k that makes ``variant`` work at (q, n, l, p).
 
@@ -239,8 +218,8 @@ def encode(x: Word, sp: SegmentedParams) -> Word:
         raise ValueError(f"message alphabet {x.q} does not match q={sp.q}")
     full, last = sp._pieces
     cut = (sp.k - 1) * full.n
-    heads = _encode_rows(x.symbols[:cut].reshape(sp.k - 1, full.n), full)
-    tail = _encode_rows(x.symbols[cut:].reshape(1, last.n), last)
+    heads = codec._encode_rows(x.symbols[:cut].reshape(sp.k - 1, full.n), full)
+    tail = codec._encode_rows(x.symbols[cut:].reshape(1, last.n), last)
     joined = np.hstack([heads, _joints(sp, heads, tail)])
     out = Word._trusted(np.concatenate([joined.ravel(), tail[0]]), sp.q)
     if len(out) != sp.n + sp.total_redundancy:
@@ -270,12 +249,12 @@ def decode(y: Word, sp: SegmentedParams) -> Word:
     bad = np.flatnonzero(damaged.any(axis=1))
     if bad.size:
         j = int(bad[0]) + 1
-        _decode_rows(heads[:j], full)  # their errors come before joint j's
+        codec._decode_rows(heads[:j], full)  # their errors come before joint j's
         raise CorruptCodewordError(
             f"glue joint before segment {j} is damaged at its symbol "
             f"{int(damaged[j - 1].argmax())}"
         )
-    msgs = [_decode_rows(heads, full).ravel(), _decode_rows(tail, last)[0]]
+    msgs = [codec._decode_rows(heads, full).ravel(), codec._decode_rows(tail, last)[0]]
     return Word._trusted(np.concatenate(msgs), sp.q)
 
 

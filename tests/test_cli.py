@@ -169,6 +169,17 @@ def test_count_both_modes_agree(capsys):
     assert data["lower_bound"] <= data["exact"] <= data["upper_bound"]
 
 
+def test_count_lower_bound_is_never_negative(capsys):
+    # q**n (1 - n / ((q-1) q**(l-p))) is -327680 here; a count is at least 0
+    code, out, _ = run(
+        capsys, "count", "--family", "A", "--q", "2", "--n", "18",
+        "--l", "6", "--p", "3", "--json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert (data["lower_bound"], data["exact"]) == (0, 158592)
+
+
 def test_count_rll_family(capsys):
     code, out, _ = run(
         capsys, "count", "--family", "R", "--q", "2", "--n", "3",

@@ -7,6 +7,8 @@ from lpacodes.codec import (
     EncodeTrace,
     LpaParams,
     RepairStep,
+    _decode_rows,
+    _encode_rows,
     _scan,
     decode,
     derive_params,
@@ -246,6 +248,124 @@ def test_engine_matches_oracle_exhaustively(q, p, largest):
         for tup in all_tuples(q, n + 1):
             y = Word(list(tup), q)
             assert _outcome(decode, y, params) == _outcome(naive_decode, y, params)
+
+
+# ------------------------------------------------------- batched rows
+
+
+def _matrix(q, n):
+    return np.array(list(all_tuples(q, n)), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("q,p,largest", [(2, 3, 11), (2, 4, 11), (3, 3, 7)])
+def test_batched_encode_matches_one_word_encode_exhaustively(q, p, largest):
+    """Every message as one row of a single matrix: the batched repair loop
+    gives each row the codeword that ``encode`` and the rescan-and-copy
+    oracle give it alone, and the batched inverse gives the message back."""
+    for n in range(p + 3, largest + 1):
+        for l in range(derive_params(q, n, p).l, n + 1):
+            params = LpaParams(q=q, n=n, p=p, l=l)
+            msgs = _matrix(q, n)
+            got = _encode_rows(msgs, params)
+            words = [Word(row, q) for row in msgs]
+            assert got.tolist() == [encode(x, params)[0].to_list() for x in words]
+            if l == derive_params(q, n, p).l:
+                assert got.tolist() == [naive_encode(x, params)[0].to_list() for x in words]
+            assert np.array_equal(_decode_rows(got, params), msgs)
+
+
+def _rows_outcome(decode_rows, rows, params):
+    """The messages of a matrix of codewords as a list, or the message of
+    the error it raises."""
+    try:
+        return decode_rows(rows, params).tolist()
+    except CorruptCodewordError as exc:
+        return str(exc)
+
+
+def _one_word_at_a_time(rows, params):
+    return np.array([decode(Word(row, params.q), params).symbols for row in rows])
+
+
+@pytest.mark.parametrize("q,n,p", [(2, 8, 3), (2, 11, 4), (3, 7, 3)])
+def test_batched_decode_fails_like_one_word_decode_exhaustively(q, n, p):
+    """Every word of codeword length as a one-row matrix decodes, or fails
+    with the error of ``decode``: every malformed record, a marker 2, and
+    walks that cycle (at (2, 8, 3))."""
+    params = derive_params(q, n, p)
+    errors = set()
+    for row in _matrix(q, n + 1):
+        got = _rows_outcome(_decode_rows, row[None], params)
+        assert got == _rows_outcome(_one_word_at_a_time, row[None], params), row
+        if isinstance(got, str):
+            errors.add(got.split(" ")[0])
+    assert len(errors) >= 2, errors
+
+
+@pytest.mark.parametrize("q,n,p", [(2, 8, 3), (2, 14, 4), (3, 7, 3)])
+def test_batched_decode_raises_the_first_failing_row(q, n, p):
+    """Random matrices of sound and corrupt rows: the result, or the error
+    of the first row that fails, is that of decoding the rows in order."""
+    params = derive_params(q, n, p)
+    rng = np.random.default_rng(n)
+    codewords = _encode_rows(rng.integers(0, q, size=(200, n), dtype=np.uint8), params)
+    noise = rng.integers(0, q, size=(200, n + 1), dtype=np.uint8)
+    for _ in range(300):
+        size = int(rng.integers(1, 9))
+        pick = rng.integers(0, 200, size=size)
+        rows = np.where(rng.random((size, 1)) < 0.7, codewords[pick], noise[pick])
+        got = _rows_outcome(_decode_rows, rows, params)
+        assert got == _rows_outcome(_one_word_at_a_time, rows, params), rows
+
+
+# Words at (2, 14, 4) and the inverse steps each walk completes before it
+# ends, fails or revisits a state
+SOUND_5 = "001000001010010"
+ALL_ZERO_AT_3 = "000000001010010"  # kernel block is all zero
+ALL_ZERO_AT_1 = "000000000010000"
+PERIOD_0_AT_0 = "000000010000000"  # kernel block encodes an impossible period 0
+PERIOD_0_AT_4 = "111000000111110"
+CYCLE_AT_4 = "010011001110000"
+STEPS = {
+    SOUND_5: 5, ALL_ZERO_AT_3: 3, ALL_ZERO_AT_1: 1,
+    PERIOD_0_AT_0: 0, PERIOD_0_AT_4: 4, CYCLE_AT_4: 4,
+}
+
+
+def _inverse_steps(text, params):
+    y = Word(text, 2)
+    seen, steps = {y}, 0
+    while y[-1] == 0:
+        try:
+            y = naive_inverse_repair(y, params)
+        except CorruptCodewordError:
+            break
+        steps += 1
+        if y in seen:
+            break
+        seen.add(y)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "texts,error",
+    [
+        ([SOUND_5, ALL_ZERO_AT_3, PERIOD_0_AT_0, CYCLE_AT_4], "kernel block is all zero"),
+        ([SOUND_5, CYCLE_AT_4, PERIOD_0_AT_0], "repair records form a cycle"),
+        ([PERIOD_0_AT_4, ALL_ZERO_AT_1], "kernel block encodes an impossible period 0"),
+        ([SOUND_5, ALL_ZERO_AT_1[:-1] + "1", SOUND_5], None),
+    ],
+)
+def test_batched_decode_error_order_across_passes(texts, error):
+    """A row that fails late raises before a later row that fails early,
+    and a cycle is caught among rows that leave the loop at other passes."""
+    params = derive_params(2, 14, 4)
+    for text in texts:
+        assert _inverse_steps(text, params) == STEPS.get(text, 0), text
+    rows = np.array([[int(c) for c in t] for t in texts], dtype=np.uint8)
+    got = _rows_outcome(_decode_rows, rows, params)
+    assert got == _rows_outcome(_one_word_at_a_time, rows, params)
+    assert (got if isinstance(got, str) else None) == error
 
 
 def _families(n, q, rng):

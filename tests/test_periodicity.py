@@ -446,6 +446,48 @@ def test_leftmost_run_rows_match_single_rows():
             assert want == [naive_leftmost_run(row.tolist(), need) for row in mask]
 
 
+def _kernel_masks(q, rng):
+    for m in (1, 2, 7, 16, 33, 140):
+        yield np.ones((3, m), dtype=bool)
+        # row j is one run from column j through the last column
+        yield np.arange(m) >= np.arange(m)[:, None]
+        yield rng.random((20, m)) < 0.8
+        for rows in (rng.integers(0, q, size=(20, m + 3)), np.zeros((4, m + 3), dtype=int)):
+            for d in (1, 2, 3):
+                yield rows[:, :-d] == rows[:, d:]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_matrix_kernel_matches_naive_per_row(q):
+    """The 2-D run kernel against the naive scan, row by row: need = 1,
+    need = m and need > m, all-True rows, runs that end in the last column,
+    and shift masks of random and all-zero symbol matrices.  The caller's
+    mask is left as it was."""
+    rng = np.random.default_rng(41 + q)
+    for mask in _kernel_masks(q, rng):
+        m = mask.shape[1]
+        before = mask.copy()
+        for need in sorted({1, 2, 3, 5, 8, 13, m - 1, m, m + 1} - {0}):
+            want = [naive_leftmost_run(row.tolist(), need) for row in mask]
+            assert periodicity._leftmost_run(mask, need).tolist() == want, (mask, need)
+        assert np.array_equal(mask, before)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_first_windows_match_naive_first_violation(q):
+    """Leftmost offending window and its least period, row by row, with
+    ties toward the smaller period, against the naive scan."""
+    rng = np.random.default_rng(43 + q)
+    for m in (5, 12, 40):
+        alternating = np.tile(np.arange(m) % 2, (2, 1))
+        for rows in (rng.integers(0, q, size=(50, m)), np.zeros((3, m), dtype=int), alternating):
+            for l in range(3, min(m, 9) + 1):
+                for p in range(2, l):
+                    index, period = periodicity._first_windows(rows, l, range(1, p))
+                    want = [naive_first_violation(w, l, p) or (-1, 0) for w in rows.tolist()]
+                    assert list(zip(index.tolist(), period.tolist())) == want, (m, l, p)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_rows_with_period_matches_naive_per_row(q):
     """Several periods (all below p) against the LPA oracle, one period

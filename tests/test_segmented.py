@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,41 @@ def test_matches_segment_at_a_time_oracle():
             assert segmented.decode(y, sp) == naive_segmented_decode(y, sp) == x
 
 
+def _hashed_bits(n):
+    """n pseudo-random bits that do not depend on numpy's generators."""
+    blocks = b"".join(hashlib.sha256(i.to_bytes(4, "big")).digest() for i in range(-(-n // 256)))
+    return np.unpackbits(np.frombuffer(blocks, np.uint8))[:n]
+
+
+# sha256 of the codeword symbols (one byte each), as the segment-at-a-time
+# codec wrote them, at n = 10^5, q = 2, p = 4 (glue-only at both l)
+PINNED = {
+    (16, "zeros"): "627a7291f2fcc80a",
+    (16, "0101"): "678ef3c6ef8343b3",
+    (16, "hashed"): "8726f7b660fdc0f3",
+    (12, "zeros"): "fa794ba7ac21f861",
+    (12, "0101"): "5d61a4e66a162398",
+    (12, "hashed"): "a2e491b5a1cf3463",
+}
+
+
+@pytest.mark.parametrize("l,k", [(16, 49), (12, 725)])
+def test_benchmark_scale_codewords_are_pinned(l, k):
+    """The batched codec writes the codewords that encoding one segment at
+    a time wrote, on messages that need many repairs per row (zeros,
+    0101...) and few (hashed bits), and decodes them back."""
+    n = 10**5
+    sp = segmented.select_construction(2, n, l, 4).params
+    assert (sp.k, sp.variant) == (k, Variant.GLUE_ONLY)
+    messages = {"zeros": np.zeros(n, np.uint8), "0101": np.arange(n) % 2, "hashed": _hashed_bits(n)}
+    for name, arr in messages.items():
+        x = Word(arr, 2)
+        y = segmented.encode(x, sp)
+        assert hashlib.sha256(y.symbols.tobytes()).hexdigest()[:16] == PINNED[l, name]
+        assert y == naive_segmented_encode(x, sp), name
+        assert segmented.decode(y, sp) == naive_segmented_decode(y, sp) == x
+
+
 def _outcome(decoder, y, sp):
     try:
         return decoder(y, sp)
@@ -286,18 +323,20 @@ def _counting(monkeypatch, name):
     calls = []
     real = getattr(codec, name)
 
-    def counted(word, params):
-        calls.append(word)
-        return real(word, params)
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
 
     monkeypatch.setattr(codec, name, counted)
     return calls
 
 
 def test_work_only_on_rows_that_need_it(monkeypatch):
-    """Deterministic companion of the timing numbers: encode repairs only
-    the segments whose marked message has an offending window, and decode
-    inverts only the codewords that end in 0; the rest cost no call."""
+    """Deterministic companion of the timing numbers: encode's first repair
+    pass excises only the segments whose marked message has an offending
+    window, and decode's first inverse pass touches only the codewords that
+    end in 0; the rest cost nothing, and no segment goes through the
+    one-word ``codec.encode`` or ``codec.decode``."""
     sp = segmented.plan(2, 10**4, 12, 4, Variant.GLUE_ONLY)
     x = Word(np.random.default_rng(3).integers(0, 2, size=sp.n), 2)
     starts = np.cumsum((0,) + sp.segment_lengths)
@@ -306,17 +345,21 @@ def test_work_only_on_rows_that_need_it(monkeypatch):
         j for j, w in enumerate(marked) if first_violation(w, sp.base[j].l, sp.p)
     ]
     assert 0 < len(need_repair) < sp.k // 2
+    one_word = [_counting(monkeypatch, name) for name in ("encode", "decode")]
 
-    encoded = _counting(monkeypatch, "encode")
+    excised = _counting(monkeypatch, "_excise_rows")
     y = segmented.encode(x, sp)
-    assert len(encoded) == len(need_repair)
-    assert encoded == [x[starts[j] : starts[j + 1]] for j in need_repair]
+    # the tail needs no repair here, so every pass is over the equal segments
+    assert need_repair[-1] < sp.k - 1
+    assert excised[0].tolist() == [marked[j].to_list() for j in need_repair]
+    assert all(len(a) >= len(b) for a, b in zip(excised, excised[1:]))
 
     step = sp.segment_lengths[0] + 1 + sp.joint_length
     ends = [y[j * step + sp.segment_lengths[j]] for j in range(sp.k)]
-    decoded = _counting(monkeypatch, "decode")
+    restored = _counting(monkeypatch, "_restore_rows")
     assert segmented.decode(y, sp) == x
-    assert len(decoded) == ends.count(0) == len(need_repair)
+    assert len(restored[0]) == ends.count(0) == len(need_repair)
+    assert one_word == [[], []]
 
 
 # ------------------------------------------------------- decode hardening
