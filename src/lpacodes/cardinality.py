@@ -31,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceededError
-from .periodicity import Word, _dtype_for, _leftmost_run, _rows_with_period
+from .periodicity import Word, _dtype_for, _first_windows, _leftmost_run
 
 __all__ = [
     "Family",
@@ -142,7 +142,7 @@ def _enumerate(family: Family, q: int, n: int, l: int | None, p: int | None, k: 
         if family is Family.RLL:
             bad = _leftmost_run(rows == 0, k) >= 0
         else:
-            bad = _rows_with_period(rows, l, _forbidden_periods(family, p))
+            bad = _first_windows(rows, l, _forbidden_periods(family, p))[0] >= 0
         total += int(rows.shape[0] - np.count_nonzero(bad))
     return total
 

@@ -452,30 +452,29 @@ def _decode_rows(codewords: np.ndarray, params: LpaParams) -> np.ndarray:
     1.  Brent's guard runs on all rows in step, since each takes one step
     per pass.
 
-    Errors are those of ``decode`` on the rows one by one: once a row is
-    known to fail (an unsound record, a cycle), the rows after it stop,
-    and the first failing row goes through ``decode`` to raise its error.
+    Errors are those of ``decode`` on the rows one by one: a row whose
+    record is unsound or whose state repeats fails and leaves the live set,
+    as a finished row does, and after the loop the lowest failed row goes
+    through ``decode`` to raise its error.
     """
-    rows = len(codewords)
     msgs = codewords[:, :-1].copy()
+    failed = np.zeros(len(codewords), dtype=bool)
     live = np.flatnonzero(codewords[:, -1] != 1)
-    state, first_bad = codewords[live], rows
+    state = codewords[live]
     saved, lap, steps = state, 1, 0
     while live.size:
         state, sound = _restore_rows(state, params)
-        cycled = sound & (state == saved).all(axis=1)
-        failed = live[~sound | cycled]
-        if failed.size:  # every live row lies before the first known failure
-            first_bad = int(failed[0])
-        done = sound & (state[:, -1] == 1)
+        ok = sound & ~(state == saved).all(axis=1)
+        done = ok & (state[:, -1] == 1)
         msgs[live[done]] = state[done, :-1]
-        keep = sound & ~cycled & ~done & (live < first_bad)
+        failed[live[~ok]] = True
+        keep = ok & ~done
         live, state, saved = live[keep], state[keep], saved[keep]
         steps += 1
         if steps == lap:
             saved, lap, steps = state, 2 * lap, 0
-    if first_bad < rows:
-        decode(Word._trusted(codewords[first_bad], params.q), params)
+    if failed.any():
+        decode(Word._trusted(codewords[failed.argmax()], params.q), params)
         raise AssertionError("decode accepted a codeword its batched form rejects")
     return msgs
 

@@ -8,17 +8,17 @@ below a target.
 Every window question goes through one kernel, ``_leftmost_run``: the
 leftmost run of at least ``need`` True entries in a bool mask.  A window
 has period p exactly when the shift-comparison mask ``w[i] == w[i+p]``
-holds over its first l - p positions, so ``first_violation``, ``is_pa``,
-``is_lpa`` and ``least_period_below`` ask it about such masks, and ``is_rll``
-asks it about ``w == 0``.  One row is a substring search; a matrix of
-rows takes log-step doubling (see ``_leftmost_run``).  ``_first_windows``
-asks it about whole matrices of words at once, one word per row, for a set
-of periods, and returns each row's leftmost offending window and its least
-period: the codec's batched repair loop calls it on the segments of a
-segmented layout.  ``_rows_with_period`` keeps only whether a row has one,
-for the counting engine's filter over each chunk of enumerated words
-(periods below p for LPA, exactly p for PA).  ``first_violation`` keeps
-its own loop over one word, because it stops at the first window.
+holds over its first l - p positions, so ``is_pa`` asks it about such a
+mask, and ``is_rll`` asks it about ``w == 0``.  One row is a substring
+search; a matrix of rows takes log-step doubling (see ``_leftmost_run``).
+One search, ``_first_windows``, finds the leftmost window with a period
+in a given set and that window's least period, for one word or for a
+matrix of words, one word per row.  ``first_violation`` (and through it
+``is_lpa`` and ``least_period_below``) asks it about one word and the
+periods below p; the codec's batched repair loop asks it about the
+segments of a segmented layout; and the counting engine keeps only
+whether each row of a chunk of enumerated words has such a window
+(periods below p for LPA, exactly p for PA).
 Whole-word period tests (``has_period`` and ``extension_symbol``) compare
 the two shifted copies directly; ``_extension_symbols``, which
 ``extension_symbol`` calls on one row, does so for many words at once.
@@ -80,16 +80,24 @@ class Word:
             symbols = _parse_symbol_text(symbols, q)
         elif not isinstance(symbols, (np.ndarray, list, tuple)):
             symbols = list(symbols)
-        arr = symbols
-        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iu"):
+        top = min(q, 1 << 63)  # symbols are held in int64 at most
+        arr = np.asarray(symbols)
+        if arr.dtype.kind not in "iu":
+            # numpy casts an array's floats past int64 silently, Python's loudly
+            if isinstance(symbols, np.ndarray):
+                symbols = symbols.tolist()
             try:
-                arr = np.asarray(symbols, dtype=np.int64)
+                ints = np.asarray(symbols, dtype=np.int64)
             except OverflowError:  # a symbol beyond the int64 range
-                raise ValueError(f"symbols must lie in [0, {q - 1}]") from None
+                raise ValueError(f"symbols must lie in [0, {top - 1}]") from None
+            # the conversion truncates fractions (floats, Fraction, Decimal)
+            if arr.dtype.kind in "fO" and (ints != arr).any():
+                raise ValueError("symbols must be integers")
+            arr = ints
         if arr.ndim != 1:
             raise ValueError("symbols must form a one-dimensional sequence")
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= q):
-            raise ValueError(f"symbols must lie in [0, {q - 1}]")
+        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= top):
+            raise ValueError(f"symbols must lie in [0, {top - 1}]")
         out = arr.astype(_dtype_for(q))
         out.setflags(write=False)
         self._symbols = out
@@ -207,11 +215,11 @@ def _leftmost_run(mask: np.ndarray, need: int) -> int | np.ndarray:
     """Start of the leftmost run of at least ``need`` consecutive True
     entries in each row of the bool ``mask``, or -1 where there is none.
 
-    A 1-D mask is one row and gives an int; a 2-D mask of shape
-    (rows, m) gives one start per row as an array.  Every window predicate
-    reduces to this: the length-l window starting at j has period p
-    exactly when entries j .. j+l-p-1 of the shift-comparison mask
-    ``w[i] == w[i+p]`` all hold.
+    A 1-D mask is one row and gives an int; a 2-D mask of shape (rows, m)
+    gives one start per row as an array, as ``_first_windows`` does for
+    words.  The window search reduces to this: the length-l window at j
+    has period p exactly when entries j .. j+l-p-1 of the shift-comparison
+    mask ``w[i] == w[i+p]`` all hold.
 
     Bool entries are single 0/1 bytes, so one row's run is a substring
     search for ``need`` one-bytes, which CPython runs in C: in linear time
@@ -242,12 +250,26 @@ def _leftmost_run(mask: np.ndarray, need: int) -> int | np.ndarray:
 
 def _first_windows(
     rows: np.ndarray, l: int, periods
-) -> tuple[np.ndarray, np.ndarray]:
-    """Leftmost length-``l`` window of each row of the 2-D symbol array
-    ``rows`` with a period in ``periods`` (ascending, each below l), and
-    the least such period of that window: two arrays, -1 and 0 where a
-    row has none.  Ties go to the smaller period, as in
-    ``first_violation``; one 2-D ``_leftmost_run`` per period."""
+) -> tuple[int, int] | tuple[np.ndarray, np.ndarray]:
+    """Leftmost length-``l`` window with a period in ``periods`` (ascending,
+    each below l) and its least such period: two ints for a 1-D word, -1
+    and 0 when there is none, or two arrays for a 2-D matrix, one entry per
+    row.  Ties go to the smaller period.  A word, and a one-row matrix
+    (where a 2-D pass costs about ten times as much), asks ``_leftmost_run``
+    once per period and stops at a window that starts at 0; several rows
+    take one 2-D ``_leftmost_run`` per period."""
+    if rows.ndim == 2 and len(rows) == 1:
+        index, least = _first_windows(rows[0], l, periods)
+        return np.array([index]), np.array([least])
+    if rows.ndim == 1:
+        index, least = -1, 0
+        for period in periods:
+            start = _leftmost_run(rows[:-period] == rows[period:], l - period)
+            if start >= 0 and (index < 0 or start < index):
+                index, least = start, period
+                if start == 0:
+                    break
+        return index, least
     index = np.full(len(rows), -1)
     least = np.zeros(len(rows), dtype=np.int64)
     for period in periods:
@@ -256,12 +278,6 @@ def _first_windows(
         index[better] = start[better]
         least[better] = period
     return index, least
-
-
-def _rows_with_period(rows: np.ndarray, l: int, periods) -> np.ndarray:
-    """Which rows of the 2-D symbol array ``rows`` hold a length-``l``
-    window with a period in ``periods`` (ascending, each below l)."""
-    return _first_windows(rows, l, periods)[0] >= 0
 
 
 def least_period_below(w: Word, p: int) -> int | None:
@@ -324,29 +340,16 @@ def first_violation(w: Word, l: int, p: int) -> WindowViolation | None:
     Returns None when every window is clean (including words shorter than
     one window).  Ties are broken toward the smallest window index and
     then the smallest period, so ``least_period`` really is the least
-    period of the reported window.  Runs in O(len(w) * p) once the word
-    has 30,000 symbols; shorter words can take up to len(w) * l byte
-    comparisons per period (see ``_leftmost_run``).
+    period of the reported window.  ``_first_windows`` searches in
+    O(len(w) * p) once the word has 30,000 symbols; shorter words can take
+    up to len(w) * l byte comparisons per period (see ``_leftmost_run``).
     """
     if l < 2:
         raise ValueError(f"window length must be at least 2, got {l}")
     if p < 2:
         raise ValueError(f"period threshold must be at least 2, got {p}")
-    if len(w) < l:
-        return None
-    arr = w.symbols
-    best_index = -1
-    best_period = 0
-    for period in range(1, min(p, l)):
-        start = _leftmost_run(arr[:-period] == arr[period:], l - period)
-        if start >= 0 and (best_index < 0 or start < best_index):
-            best_index = start
-            best_period = period
-            if start == 0:
-                break
-    if best_index < 0:
-        return None
-    return WindowViolation(best_index, best_period)
+    index, least = _first_windows(w.symbols, l, range(1, min(p, l)))
+    return None if index < 0 else WindowViolation(index, least)
 
 
 def extension_symbol(w: Word) -> int:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,6 +62,14 @@ def test_word_rejects_out_of_range_symbols():
     for symbols in ([10**20, 1], [-(10**20)], "99999999999999999999,1"):
         with pytest.raises(ValueError, match=r"symbols must lie in \[0, 11\]"):
             Word(symbols, 12)
+    # fractions are refused, not truncated
+    for symbols in ([1.5, 0], np.array([1.7, 0.2]), [Fraction(3, 2), 0]):
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            Word(symbols, 2)
+    # an unsigned array past int64 is refused as the same values in a list are
+    for symbols in (np.array([2**63, 1], dtype=np.uint64), [2**63, 1]):
+        with pytest.raises(ValueError, match=rf"symbols must lie in \[0, {2**63 - 1}\]"):
+            Word(symbols, 2**64)
 
 
 def test_word_rejects_bad_alphabet():
@@ -476,7 +485,9 @@ def test_matrix_kernel_matches_naive_per_row(q):
 @pytest.mark.parametrize("q", [2, 3])
 def test_first_windows_match_naive_first_violation(q):
     """Leftmost offending window and its least period, row by row, with
-    ties toward the smaller period, against the naive scan."""
+    ties toward the smaller period, against the naive scan: for the whole
+    matrix (two arrays), for each row as a 1-D word (two ints, what
+    ``first_violation`` returns) and for each row as a one-row matrix."""
     rng = np.random.default_rng(43 + q)
     for m in (5, 12, 40):
         alternating = np.tile(np.arange(m) % 2, (2, 1))
@@ -486,6 +497,13 @@ def test_first_windows_match_naive_first_violation(q):
                     index, period = periodicity._first_windows(rows, l, range(1, p))
                     want = [naive_first_violation(w, l, p) or (-1, 0) for w in rows.tolist()]
                     assert list(zip(index.tolist(), period.tolist())) == want, (m, l, p)
+                    for row, (index, period) in zip(rows, want):
+                        got = periodicity._first_windows(row, l, range(1, p))
+                        assert got == (index, period) and type(got[0]) is int
+                        v = first_violation(Word(row, q), l, p)
+                        assert got == ((v.index, v.least_period) if v else (-1, 0))
+                        got = periodicity._first_windows(row[None], l, range(1, p))
+                        assert [a.tolist() for a in got] == [[index], [period]]
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -498,10 +516,10 @@ def test_rows_with_period_matches_naive_per_row(q):
             words = rows.tolist()
             for l in range(2, min(m, 8) + 1):
                 for p in range(2, l + 1):
-                    got = periodicity._rows_with_period(rows, l, range(1, p))
+                    got = periodicity._first_windows(rows, l, range(1, p))[0] >= 0
                     assert got.tolist() == [not naive_window_clean(w, l, p) for w in words]
                 for p in range(1, l):
-                    got = periodicity._rows_with_period(rows, l, (p,))
+                    got = periodicity._first_windows(rows, l, (p,))[0] >= 0
                     assert got.tolist() == [not naive_no_period_p(w, l, p) for w in words]
 
 
