@@ -9,11 +9,15 @@ Every window question goes through one kernel, ``_leftmost_run``: the
 leftmost run of at least ``need`` True entries in a bool mask.  A window
 has period p exactly when the shift-comparison mask ``w[i] == w[i+p]``
 holds over its first l - p positions, so ``is_pa`` asks it about such a
-mask, and ``is_rll`` asks it about ``w == 0``.  One row is a substring
-search; a matrix of rows takes log-step doubling (see ``_leftmost_run``).
-One search, ``_first_windows``, finds the leftmost window with a period
-in a given set and that window's least period, for one word or for a
-matrix of words, one word per row.  ``first_violation`` (and through it
+mask, and ``is_rll`` asks it about ``w == 0``.  A row shorter than
+30,000 entries is a substring search; longer rows, and a matrix of rows,
+take log-step doubling (see ``_leftmost_run``).  One search,
+``_first_windows``, finds the leftmost window with a period in a given
+set and that window's least period, for one word or for a matrix of
+words, one word per row.  It scans only the maximal periods of the set,
+those that divide no other one, since a window with period d also has
+every multiple of d below l as a period; then it finds the least period
+on the one window it found.  ``first_violation`` (and through it
 ``is_lpa`` and ``least_period_below``) asks it about one word and the
 periods below p; the codec's batched repair loop asks it about the
 segments of a segmented layout; and the counting engine keeps only
@@ -35,6 +39,7 @@ definitions, live in the test suite (``tests/helpers.py``), not here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -211,6 +216,13 @@ def has_period(w: Word, p: int) -> bool:
     return arr[:-p].tobytes() == arr[p:].tobytes()
 
 
+# A 1-D mask this long or longer takes log-step doubling.  CPython's
+# ``bytes.find`` switches to its two-way search here for needles under 100
+# bytes; on shift masks the two measured even between 2**14 and 2**15
+# entries, and doubling wins from there on.
+_LONG_ROW = 30_000
+
+
 def _leftmost_run(mask: np.ndarray, need: int) -> int | np.ndarray:
     """Start of the leftmost run of at least ``need`` consecutive True
     entries in each row of the bool ``mask``, or -1 where there is none.
@@ -221,31 +233,56 @@ def _leftmost_run(mask: np.ndarray, need: int) -> int | np.ndarray:
     has period p exactly when entries j .. j+l-p-1 of the shift-comparison
     mask ``w[i] == w[i+p]`` all hold.
 
-    Bool entries are single 0/1 bytes, so one row's run is a substring
-    search for ``need`` one-bytes, which CPython runs in C: in linear time
-    once the row has 30,000 entries, and in at most m * need byte
-    comparisons below that.  Several rows at once take log-step doubling
-    instead, which avoids a Python-level call per row: a run of w ones at
-    j and a run of w ones at j + s, with s <= w, make a run of w + s ones
-    at j, so about log2(need) ANDs of the mask with itself shifted leave
-    entry j True exactly when a run of ``need`` starts there, and
-    ``argmax`` finds the first per row.  Each AND builds a new, shorter
-    mask: ANDing a mask in place with an overlapping slice of itself
-    makes numpy buffer the slice anyway, and measured slower.
+    A row shorter than ``_LONG_ROW`` (30,000 entries) is a substring
+    search for ``need`` one-bytes, since bool entries are single 0/1
+    bytes; CPython runs it in C in at most m * need byte comparisons.
+    Longer rows, and several rows at once, take log-step doubling, one
+    loop for both shapes: a run of w ones at j and a run of w ones at
+    j + s, with s <= w, make a run of w + s ones at j, so about log2(need)
+    ANDs of the mask with itself shifted leave entry j True exactly when a
+    run of ``need`` starts there, and ``argmax`` finds the first per row.
+    That costs O(m * log need) and reads the whole row even when a run
+    starts early; at 10^6 entries it measured 0.4-0.5 ms against 0.5-1.8 ms
+    for ``find`` (need 10-25, shift masks of random words, q = 2 and 4).
+    Each AND builds a new, shorter mask: ANDing a mask in place with an
+    overlapping slice of itself makes numpy buffer the slice anyway, and
+    measured slower.  The caller's mask is never changed.
     """
-    if mask.ndim == 1:
+    one_row = mask.ndim == 1
+    if one_row and len(mask) < _LONG_ROW:
         return mask.tobytes().find(b"\x01" * need)
-    rows, m = mask.shape
-    if m < need:
-        return np.full(rows, -1)
+    if mask.shape[-1] < need:
+        return -1 if one_row else np.full(len(mask), -1)
     width = 1
     while width < need:
         step = min(width, need - width)
-        mask = mask[:, :-step] & mask[:, step:]
+        mask = mask[..., :-step] & mask[..., step:]
         width += step
-    starts = mask.argmax(axis=1)
-    starts[~mask[np.arange(rows), starts]] = -1
+    starts = mask.argmax(axis=-1)
+    if one_row:
+        return int(starts) if mask[starts] else -1
+    starts[~mask[np.arange(len(mask)), starts]] = -1
     return starts
+
+
+@cache
+def _maximal(periods) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``periods`` split into those that divide no other one of them (the
+    maximal periods) and the rest, each in the given order."""
+    top = tuple(d for d in periods if not any(e > d and e % d == 0 for e in periods))
+    return top, tuple(d for d in periods if d not in top)
+
+
+def _least_period(window: np.ndarray, periods, least: int) -> int:
+    """The least of ``least`` and the ``periods`` (ascending) that the 1-D
+    ``window`` has."""
+    size, text = window.itemsize, window.tobytes()
+    for d in periods:
+        if d >= least:
+            break
+        if text[: -d * size] == text[d * size :]:
+            return d
+    return least
 
 
 def _first_windows(
@@ -254,29 +291,50 @@ def _first_windows(
     """Leftmost length-``l`` window with a period in ``periods`` (ascending,
     each below l) and its least such period: two ints for a 1-D word, -1
     and 0 when there is none, or two arrays for a 2-D matrix, one entry per
-    row.  Ties go to the smaller period.  A word, and a one-row matrix
-    (where a 2-D pass costs about ten times as much), asks ``_leftmost_run``
-    once per period and stops at a window that starts at 0; several rows
-    take one 2-D ``_leftmost_run`` per period."""
+    row.  Ties go to the smaller period.
+
+    A window with period d also has every multiple of d below l as a
+    period, so the leftmost window with a period in the set is the
+    leftmost window with a maximal one, a period that divides no other in
+    the set.  Only those are scanned: {2} for the periods below 3, {2, 3}
+    below 4, {3, 4, 5} below 6 (``_maximal`` splits each set once and
+    caches it).  The smallest maximal period that finds the window is its
+    least maximal period; the other periods of the set are then tested on
+    that one window of l symbols, in ascending order, for a smaller one.
+
+    A word, and a one-row matrix (where a 2-D pass costs about ten times
+    as much), asks ``_leftmost_run`` once per maximal period, each time
+    over the prefix that could still hold an earlier window, and stops at
+    a window that starts at 0; several rows take one 2-D ``_leftmost_run``
+    per maximal period."""
     if rows.ndim == 2 and len(rows) == 1:
         index, least = _first_windows(rows[0], l, periods)
         return np.array([index]), np.array([least])
+    top, rest = _maximal(periods)
     if rows.ndim == 1:
-        index, least = -1, 0
-        for period in periods:
-            start = _leftmost_run(rows[:-period] == rows[period:], l - period)
-            if start >= 0 and (index < 0 or start < index):
-                index, least = start, period
+        index, least, head = -1, 0, rows
+        for period in top:
+            start = _leftmost_run(head[:-period] == head[period:], l - period)
+            if start >= 0:
+                index, least, head = start, period, rows[: start + l - 1]
                 if start == 0:
                     break
+        if index >= 0 and rest:
+            least = _least_period(rows[index : index + l], rest, least)
         return index, least
     index = np.full(len(rows), -1)
     least = np.zeros(len(rows), dtype=np.int64)
-    for period in periods:
+    for period in top:
         start = _leftmost_run(rows[:, :-period] == rows[:, period:], l - period)
         better = (start >= 0) & ((index < 0) | (start < index))
         index[better] = start[better]
         least[better] = period
+    if rest:
+        hit = np.flatnonzero(index >= 0)
+        windows = rows[hit[:, None], index[hit, None] + np.arange(l)]
+        for period in reversed(rest):  # the smallest written last wins
+            has = (windows[:, :-period] == windows[:, period:]).all(axis=1)
+            least[hit[has & (period < least[hit])]] = period
     return index, least
 
 
@@ -340,9 +398,12 @@ def first_violation(w: Word, l: int, p: int) -> WindowViolation | None:
     Returns None when every window is clean (including words shorter than
     one window).  Ties are broken toward the smallest window index and
     then the smallest period, so ``least_period`` really is the least
-    period of the reported window.  ``_first_windows`` searches in
-    O(len(w) * p) once the word has 30,000 symbols; shorter words can take
-    up to len(w) * l byte comparisons per period (see ``_leftmost_run``).
+    period of the reported window.  ``_first_windows`` scans only the
+    maximal periods below p, those with no multiple below p ({3, 4, 5}
+    for p = 6), and then tests the smaller periods on the one window it
+    found.  A scan costs O(len(w) * log l) once the word has 30,000
+    symbols; shorter words can take up to len(w) * l byte comparisons per
+    maximal period (see ``_leftmost_run``).
     """
     if l < 2:
         raise ValueError(f"window length must be at least 2, got {l}")

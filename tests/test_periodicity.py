@@ -426,7 +426,8 @@ def test_leftmost_run_skips_near_miss_runs(repeats):
 
 def test_leftmost_run_need_one():
     rng = np.random.default_rng(23)
-    for n in (6, 300, 9000):
+    cut = periodicity._LONG_ROW
+    for n in (6, 300, 9000, cut - 1, cut, cut + 1, 40_000):
         last_only = [False] * (n - 1) + [True]
         coin = (rng.random(n) < 0.5).tolist()
         for flags in ([False] * n, last_only, [True] * n, coin):
@@ -446,7 +447,7 @@ def test_leftmost_run_need_one():
 
 def test_leftmost_run_rows_match_single_rows():
     rng = np.random.default_rng(31)
-    for m in (1, 17, 300, 700):
+    for m in (1, 17, 300, 700, periodicity._LONG_ROW - 1, 40_000):
         for need in (1, 2, 5, 13):
             mask = rng.random((40, m)) < 0.85
             got = periodicity._leftmost_run(mask, need)
@@ -464,14 +465,36 @@ def _kernel_masks(q, rng):
         for rows in (rng.integers(0, q, size=(20, m + 3)), np.zeros((4, m + 3), dtype=int)):
             for d in (1, 2, 3):
                 yield rows[:, :-d] == rows[:, d:]
+    # rows on both sides of the long-row cut-off: all True, all False, runs
+    # of 1, 13 and m - 1 entries that end in the last entry, and the shift
+    # mask of a random word
+    cut = periodicity._LONG_ROW
+    for m in (cut - 1, cut, cut + 1, 40_000):
+        at = np.arange(m)
+        yield at >= m - np.array([m, 0, 1, 13, m - 1])[:, None]
+        rows = rng.integers(0, q, size=(1, m + 2))
+        yield rows[:, :-2] == rows[:, 2:]
+
+
+class _CountedBytes(np.ndarray):
+    """A bool row that counts its ``tobytes`` calls, which only the
+    substring-search form of the run kernel makes."""
+
+    calls = 0
+
+    def tobytes(self, *args, **kwargs):
+        _CountedBytes.calls += 1
+        return super().tobytes(*args, **kwargs)
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_matrix_kernel_matches_naive_per_row(q):
-    """The 2-D run kernel against the naive scan, row by row: need = 1,
-    need = m and need > m, all-True rows, runs that end in the last column,
-    and shift masks of random and all-zero symbol matrices.  The caller's
-    mask is left as it was."""
+    """The run kernel against the naive scan, for the whole 2-D mask and
+    for each row as a 1-D mask: need = 1, need = m and need > m, all-True
+    and all-False rows, runs that end in the last column, shift masks of
+    random and all-zero symbol matrices, and rows just below, at and above
+    the length from which one row takes log-step doubling instead of the
+    substring search.  The caller's mask is left as it was."""
     rng = np.random.default_rng(41 + q)
     for mask in _kernel_masks(q, rng):
         m = mask.shape[1]
@@ -479,19 +502,34 @@ def test_matrix_kernel_matches_naive_per_row(q):
         for need in sorted({1, 2, 3, 5, 8, 13, m - 1, m, m + 1} - {0}):
             want = [naive_leftmost_run(row.tolist(), need) for row in mask]
             assert periodicity._leftmost_run(mask, need).tolist() == want, (mask, need)
+            for row, start in zip(mask, want):
+                _CountedBytes.calls = 0
+                assert periodicity._leftmost_run(row.view(_CountedBytes), need) == start
+                assert (_CountedBytes.calls > 0) == (m < periodicity._LONG_ROW), m
         assert np.array_equal(mask, before)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 300])
 def test_first_windows_match_naive_first_violation(q):
     """Leftmost offending window and its least period, row by row, with
     ties toward the smaller period, against the naive scan: for the whole
     matrix (two arrays), for each row as a 1-D word (two ints, what
-    ``first_violation`` returns) and for each row as a one-row matrix."""
+    ``first_violation`` returns) and for each row as a one-row matrix.
+
+    Only the maximal periods of a set are scanned ({4, 5, 6} for the
+    periods below 7), so the rows include windows whose least period
+    divides a scanned one, and ``0001`` repeated: two maximal periods, 4
+    and 5, find its window 0001000 at the same index."""
     rng = np.random.default_rng(43 + q)
     for m in (5, 12, 40):
         alternating = np.tile(np.arange(m) % 2, (2, 1))
-        for rows in (rng.integers(0, q, size=(50, m)), np.zeros((3, m), dtype=int), alternating):
+        tie = np.resize([0, 0, 0, 1], (2, m))
+        for rows in (
+            rng.integers(0, q, size=(50, m)),
+            np.zeros((3, m), dtype=int),
+            alternating,
+            tie,
+        ):
             for l in range(3, min(m, 9) + 1):
                 for p in range(2, l):
                     index, period = periodicity._first_windows(rows, l, range(1, p))
@@ -504,6 +542,33 @@ def test_first_windows_match_naive_first_violation(q):
                         assert got == ((v.index, v.least_period) if v else (-1, 0))
                         got = periodicity._first_windows(row[None], l, range(1, p))
                         assert [a.tolist() for a in got] == [[index], [period]]
+    # Words of 40,000 symbols (uint16 at q = 300), whose shift masks take
+    # the long-row form of the run kernel, clean but for one planted window
+    # of least period 1 to 5 at the first start, in the middle or at the
+    # last start.  At p = 6 only 3, 4 and 5 are scanned: period 1 is found
+    # by all three at the same index, period 2 by 4 alone.  The symbol
+    # before the plant breaks its period, and windows that start more than
+    # l before the plant are windows of the clean base, so the naive scan
+    # of the plant's neighbourhood gives the first violation of the word.
+    n, p, l = 40_000, 6, {2: 30, 3: 20, 300: 8}[q]
+    base = Word(rng.integers(0, q, size=n), q).symbols
+    assert naive_first_violation(base.tolist(), l, p) is None
+    starts = (0, n // 2, n - l)
+    for tile in ([q - 1], [0, q - 1], [0, q - 1, q - 1], [0, 0, 1, 1], [0, 1, 1, 0, 1]):
+        period = len(tile)
+        rows = np.tile(base, (len(starts) + 1, 1))  # the last row stays clean
+        for row, at in zip(rows, starts):
+            row[at : at + l] = np.resize(tile, l)
+            if at:
+                row[at - 1] = (tile[-1] + 1) % q
+            lo = max(at - l, 0)
+            want = (at - lo, period)
+            assert naive_first_violation(row[lo : at + 2 * l].tolist(), l, p) == want
+            assert periodicity._first_windows(row, l, range(1, p)) == (at, period)
+            assert first_violation(Word(row, q), l, p) == WindowViolation(at, period)
+        index, least = periodicity._first_windows(rows, l, range(1, p))
+        assert index.tolist() == [*starts, -1]
+        assert least.tolist() == [period] * len(starts) + [0]
 
 
 @pytest.mark.parametrize("q", [2, 3])
