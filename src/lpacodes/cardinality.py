@@ -244,20 +244,19 @@ def _count_cached(family: Family, q: int, n: int, l: int | None, p: int | None, 
     return _count_exact(family, q, n, l, p, k, q**n // (_STATE_DIVISOR * n))
 
 
-def _check_budget(
-    q: int,
-    n: int,
-    budget: int,
-    message: str = "enumerating {q}**{n} = {cost} words exceeds the budget of {budget}",
-) -> None:
+def _within_budget(q: int, n: int, budget: int) -> bool:
+    """Whether q**n <= budget, building q**n only while n is below the bit
+    length of budget: from there on q**n > budget, since q >= 2."""
+    return n < budget.bit_length() and q**n <= budget
+
+
+def _check_budget(q: int, n: int, budget: int) -> None:
     """Refuse to enumerate all q**n words past ``budget`` of them, raising
-    BudgetExceededError with ``message`` (fields q, n, cost, budget)."""
-    cost = q**n
-    if cost > budget:
+    BudgetExceededError; its text writes the cost as ``{q}**{n}``, never in
+    decimal, so a refusal costs the same at any n."""
+    if not _within_budget(q, n, budget):
         raise BudgetExceededError(
-            message.format(q=q, n=n, cost=cost, budget=budget),
-            cost=cost,
-            budget=budget,
+            f"enumerating {q}**{n} words exceeds the budget of {budget}", q, n, budget
         )
 
 
@@ -400,7 +399,7 @@ _UPPER_ANALYTIC = "analytic zero-run relaxation, ceiled"
 def _upper_branch(q: int, m: int, k: int, budget: int) -> str | None:
     """The bound ``lpa_count_upper`` takes for zero-run words of length m
     and run limit k, named as ``build_report`` labels it; None for none."""
-    if q**m <= budget:
+    if _within_budget(q, m, budget):
         return _UPPER_EXACT
     if m >= 2 * k:
         return _UPPER_ANALYTIC
@@ -456,22 +455,16 @@ class CountReport:
 
     def violations(self) -> list[str]:
         """Internal inconsistencies; non-empty means the numbers contradict."""
-        problems = []
-        if self.exact is not None and self.formula is not None:
-            if self.exact != self.formula:
-                problems.append(
-                    f"formula value {self.formula} != exact value {self.exact}"
-                )
-        if self.exact is not None and self.lower_bound is not None:
-            if self.lower_bound > self.exact:
-                problems.append(
-                    f"lower bound {self.lower_bound} exceeds exact value {self.exact}"
-                )
-        if self.exact is not None and self.upper_bound is not None:
-            if self.exact > self.upper_bound:
-                problems.append(
-                    f"exact value {self.exact} exceeds upper bound {self.upper_bound}"
-                )
+        exact, problems = self.exact, []
+        if exact is None:
+            return problems
+        formula, lower, upper = self.formula, self.lower_bound, self.upper_bound
+        if formula is not None and formula != exact:
+            problems.append(f"formula value {formula} != exact value {exact}")
+        if lower is not None and lower > exact:
+            problems.append(f"lower bound {lower} exceeds exact value {exact}")
+        if upper is not None and exact > upper:
+            problems.append(f"exact value {exact} exceeds upper bound {upper}")
         return problems
 
 

@@ -81,11 +81,21 @@ def _run_words(
 
 
 def _print_report(pairs: list[tuple[str, object]], as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(dict(pairs)))
-    else:
-        for key, value in pairs:
-            print(f"{key}={value}")
+    """Print ``pairs`` as ``key=value`` lines or as one JSON object.  Counts
+    can pass the 4,300 digits Python renders by default, so that limit
+    (absent before 3.10.7) is lifted while the report is rendered."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if as_json:
+            text = json.dumps(dict(pairs))
+        else:
+            text = "\n".join(f"{key}={value}" for key, value in pairs)
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+    print(text)
 
 
 def _seed_to_int(seed: str) -> int:
@@ -146,7 +156,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.rll is None and (args.l is None or args.p is None):
+    if (args.l, args.p).count(None) != (0 if args.rll is None else 2):
         print("check: need either --l and --p, or --rll K", file=sys.stderr)
         return EXIT_USAGE
     if args.rll is not None and args.rll < 1:
@@ -203,11 +213,7 @@ def cmd_count(args) -> int:
 def cmd_stats(args) -> int:
     params = codec.derive_params(args.q, args.n, args.p)
     if args.exhaustive:
-        cardinality._check_budget(
-            args.q, args.n, args.budget,
-            "exhaustive statistics over {q}**{n} = {cost} words "
-            "exceed the budget of {budget}",
-        )
+        cardinality._check_budget(args.q, args.n, args.budget)
         source = cardinality.all_words(args.q, args.n)
     elif args.infile is not None:
         source = read_words(args.infile, args.q, expected_len=args.n)

@@ -231,6 +231,18 @@ def _marked(x: Word) -> np.ndarray:
     return np.concatenate([arr, np.ones(1, dtype=arr.dtype)])
 
 
+def _repair_budget(params: LpaParams) -> int:
+    """Repairs after which ``encode`` and ``_encode_rows`` give up with
+    ``_OVERRUN``; no message needs that many, so only a defect meets it."""
+    return params.q**4 * (params.n + 1)
+
+
+_OVERRUN = (
+    "repair loop exceeded its safety budget; the convergence argument has "
+    "been violated"
+)
+
+
 def _scan(
     buf: np.ndarray, params: LpaParams, start: int, size: int
 ) -> WindowViolation | None:
@@ -265,7 +277,7 @@ def repair(y: Word, params: LpaParams) -> tuple[Word, RepairStep]:
     ``y`` must have n + 1 symbols and at least one window with a period
     below p; the output has the same length and always ends in 0.
     """
-    _check_state(y, params)
+    _check_word(y, params.n + 1, params.q, "codeword")
     violation = first_violation(y, params.l, params.p)
     if violation is None:
         raise ValueError("word has no offending window; nothing to repair")
@@ -283,7 +295,7 @@ def inverse_repair(y: Word, params: LpaParams) -> Word:
     by ``repair``: index out of range, an all-zero kernel block, or a
     kernel separator other than 1.
     """
-    _check_state(y, params)
+    _check_word(y, params.n + 1, params.q, "codeword")
     if y[-1] != 0:
         raise ValueError("inverse repair requires a word ending in 0")
     buf = y.symbols.copy()
@@ -299,25 +311,19 @@ def encode(x: Word, params: LpaParams) -> tuple[Word, EncodeTrace]:
     when called in a loop on the marked message; here they live in one
     buffer, and each scan resumes l - 1 symbols before the window just
     excised (see the module docstring).  Termination is guaranteed; the
-    iteration budget of q**4 * (n + 1) only trips on an implementation
+    repair budget (``_repair_budget``) only trips on an implementation
     defect.
     """
-    if len(x) != params.n:
-        raise ValueError(f"message must have {params.n} symbols, got {len(x)}")
-    if x.q != params.q:
-        raise ValueError(f"message alphabet {x.q} does not match q={params.q}")
+    _check_word(x, params.n, params.q, "message")
     buf = _marked(x)
     steps: list[RepairStep] = []
-    budget = params.q**4 * (params.n + 1)
+    budget = _repair_budget(params)
     # Most messages need no repair, so the first probe is the whole word;
     # after a repair the next violation tends to lie close by.
     start, size = 0, len(buf)
     while (violation := _scan(buf, params, start, size)) is not None:
         if len(steps) >= budget:
-            raise AssertionError(
-                "repair loop exceeded its safety budget; the convergence "
-                "argument has been violated"
-            )
+            raise AssertionError(_OVERRUN)
         index, period = violation.index, violation.least_period
         kernel = _excise(buf, params, index, period)
         steps.append(RepairStep(index, period, Word._trusted(kernel, params.q)))
@@ -338,7 +344,7 @@ def decode(y: Word, params: LpaParams) -> Word:
     length plus its lead-in.  Comparing with the saved state costs O(n)
     per step.
     """
-    _check_state(y, params)
+    _check_word(y, params.n + 1, params.q, "codeword")
     buf = y.symbols
     if buf[-1] == 0:
         buf = buf.copy()
@@ -427,7 +433,7 @@ def _encode_rows(msgs: np.ndarray, params: LpaParams) -> np.ndarray:
     out = np.ones((rows, n + 1), dtype=msgs.dtype)
     out[:, :n] = msgs
     live, state, steps = np.arange(rows), out, 0
-    budget = params.q**4 * (n + 1)
+    budget = _repair_budget(params)
     while True:
         index, period = _first_windows(state, params.l, range(1, params.p))
         bad = index >= 0
@@ -436,10 +442,7 @@ def _encode_rows(msgs: np.ndarray, params: LpaParams) -> np.ndarray:
         if not bad.any():
             return out
         if steps >= budget:
-            raise AssertionError(
-                "repair loop exceeded its safety budget; the convergence "
-                "argument has been violated"
-            )
+            raise AssertionError(_OVERRUN)
         live, steps = live[bad], steps + 1
         state = _excise_rows(state[bad], params, index[bad], period[bad])
 
@@ -485,8 +488,7 @@ def replay_trace(x: Word, params: LpaParams, trace: EncodeTrace) -> Word:
     Each step is validated against the evolving state, so a trace that was
     not produced on ``x`` fails loudly rather than rebuilding nonsense.
     """
-    if len(x) != params.n:
-        raise ValueError(f"message must have {params.n} symbols, got {len(x)}")
+    _check_word(x, params.n, params.q, "message")
     buf = _marked(x)
     for step in trace.steps:
         if not 0 <= step.index <= params.n + 1 - params.l:
@@ -536,10 +538,11 @@ def step_statistics(params: LpaParams, inputs: Iterable[Word]) -> StepStats:
     )
 
 
-def _check_state(y: Word, params: LpaParams) -> None:
-    if len(y) != params.n + 1:
-        raise ValueError(
-            f"expected a word of {params.n + 1} symbols, got {len(y)}"
-        )
-    if y.q != params.q:
-        raise ValueError(f"word alphabet {y.q} does not match q={params.q}")
+def _check_word(w: Word, length: int, q: int, noun: str) -> None:
+    """The input check of every codec and segmented entry point: ValueError
+    unless ``w`` (a "message" or "codeword", as ``noun`` says) has
+    ``length`` symbols over q."""
+    if len(w) != length:
+        raise ValueError(f"{noun} must have {length} symbols, got {len(w)}")
+    if w.q != q:
+        raise ValueError(f"{noun} alphabet {w.q} does not match q={q}")

@@ -10,13 +10,17 @@ class CorruptCodewordError(Exception):
 
 
 class BudgetExceededError(Exception):
-    """An enumeration would exceed the configured work budget.
+    """An enumeration of all q**n words would exceed the work budget.
 
-    Carries the estimated cost so callers can report how far over budget
-    the request was instead of silently grinding away.
+    Carries q, n and the budget so callers can report how far over budget
+    the request was.  ``cost`` (q**n) is built only when read: far past the
+    budget it can run to millions of digits.
     """
 
-    def __init__(self, message: str, cost: int, budget: int):
+    def __init__(self, message: str, q: int, n: int, budget: int):
         super().__init__(message)
-        self.cost = cost
-        self.budget = budget
+        self.q, self.n, self.budget = q, n, budget
+
+    @property
+    def cost(self) -> int:
+        return self.q**self.n

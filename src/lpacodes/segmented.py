@@ -212,10 +212,7 @@ def plan(q: int, n: int, l: int, p: int, variant: Variant) -> SegmentedParams:
 
 def encode(x: Word, sp: SegmentedParams) -> Word:
     """Encode each segment independently and join per the layout."""
-    if len(x) != sp.n:
-        raise ValueError(f"message must have {sp.n} symbols, got {len(x)}")
-    if x.q != sp.q:
-        raise ValueError(f"message alphabet {x.q} does not match q={sp.q}")
+    codec._check_word(x, sp.n, sp.q, "message")
     full, last = sp._pieces
     cut = (sp.k - 1) * full.n
     heads = codec._encode_rows(x.symbols[:cut].reshape(sp.k - 1, full.n), full)
@@ -234,12 +231,7 @@ def decode(y: Word, sp: SegmentedParams) -> Word:
     any mismatch raises CorruptCodewordError.  Errors come in the order of
     a walk that decodes segment j - 1 before it checks joint j.
     """
-    if len(y) != sp.n + sp.total_redundancy:
-        raise ValueError(
-            f"expected {sp.n + sp.total_redundancy} symbols, got {len(y)}"
-        )
-    if y.q != sp.q:
-        raise ValueError(f"word alphabet {y.q} does not match q={sp.q}")
+    codec._check_word(y, sp.n + sp.total_redundancy, sp.q, "codeword")
     full, last = sp._pieces
     cut = (sp.k - 1) * (full.n + 1 + sp.joint_length)
     rows = y.symbols[:cut].reshape(sp.k - 1, full.n + 1 + sp.joint_length)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,31 @@ def test_count_brute_budget():
         count_brute(A(2, 40, 8, 2), budget=1 << 20)
     assert info.value.cost == 2**40
     assert info.value.budget == 1 << 20
+
+
+def test_count_brute_refuses_past_the_digit_limit():
+    # 2**20000 has 6,021 decimal digits, past what Python converts by default
+    with pytest.raises(BudgetExceededError) as info:
+        count_brute(A(2, 20000, 20, 4))
+    assert str(info.value) == (
+        "enumerating 2**20000 words exceeds the budget of 16777216"
+    )
+    assert info.value.cost == 2**20000
+
+
+def test_budget_refusal_never_builds_q_to_the_n():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"3\*\*10000000 words"):
+        count_brute(A(3, 10**7, 20, 4))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_budget_test_matches_the_power():
+    for q in (2, 3, 7, 10**6):
+        for n in range(1, 40):
+            cost = q**n
+            for budget in (0, 1, 2, cost - 1, cost, cost + 1, 1 << 24, cost**2):
+                assert card._within_budget(q, n, budget) == (cost <= budget), (q, n, budget)
 
 
 # ---------------------------------------------------------- count engines
@@ -396,6 +422,24 @@ def test_build_report_flags_disagreement():
         provenance={},
     )
     assert report.violations()
+
+
+def test_report_names_each_broken_bound():
+    report = card.CountReport(query=A(2, 6, 4, 2), exact=10, lower_bound=11, upper_bound=9)
+    assert report.violations() == [
+        "lower bound 11 exceeds exact value 10",
+        "exact value 10 exceeds upper bound 9",
+    ]
+
+
+def test_formula_skip_past_the_digit_limit():
+    # the zero-run identity would enumerate 2**19996 words
+    report = card.build_report(B(2, 20000, 20, 4), include_exact=False)
+    assert report.formula is None
+    assert report.provenance["formula"] == (
+        "zero-run identity skipped: enumerating 2**19996 words exceeds the "
+        "budget of 16777216"
+    )
 
 
 def test_all_words_enumerates_in_order():

@@ -1,9 +1,13 @@
 import json
+import sys
 
 import pytest
 
+from lpacodes import cardinality
 from lpacodes.cli import main
 from lpacodes.periodicity import Word
+
+from helpers import naive_count
 
 
 def run(capsys, *argv):
@@ -14,6 +18,24 @@ def run(capsys, *argv):
 
 def write_words(path, lines):
     path.write_text("\n".join(lines) + "\n")
+
+
+def digit_limit():
+    """Python's limit on int <-> str conversion (None before 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def parse_any_digits(parse, text):
+    """``parse(text)`` with the int conversion limit lifted, as any reader
+    of a report with counts past 4,300 digits must do."""
+    old = digit_limit()
+    if old is None:
+        return parse(text)
+    sys.set_int_max_str_digits(0)
+    try:
+        return parse(text)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # -------------------------------------------------------------- pipelines
@@ -153,6 +175,21 @@ def test_check_needs_some_constraint(tmp_path, capsys):
     assert "need either" in err
 
 
+@pytest.mark.parametrize(
+    "window", [["--l", "4", "--p", "3"], ["--l", "4"], ["--p", "3"]]
+)
+def test_check_refuses_rll_with_window_flags(tmp_path, capsys, window):
+    # --rll alone passes this word and --l 4 --p 3 alone fails it
+    src = tmp_path / "w.txt"
+    write_words(src, ["0000011111"])
+    code, out, err = run(
+        capsys, "check", "--q", "2", "--rll", "6", *window, "--in", str(src)
+    )
+    assert code == 2
+    assert out == ""
+    assert "need either" in err
+
+
 # ------------------------------------------------------------------ count
 
 
@@ -227,9 +264,87 @@ def test_count_formula_mode_never_exceeds_the_budget(capsys):
     data = json.loads(out)
     assert data["formula"] is None
     assert data["provenance"] == {
-        "formula": "zero-run identity skipped: enumerating 2**27 = 134217728 "
+        "formula": "zero-run identity skipped: enumerating 2**27 "
         "words exceeds the budget of 16777216"
     }
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_count_prints_bounds_past_the_digit_limit(capsys, as_json):
+    # both bounds run to about 6,000 decimal digits
+    limit = digit_limit()
+    code, out, _ = run(
+        capsys, "count", "--family", "A", "--q", "2", "--n", "20000",
+        "--l", "20", "--p", "4", "--mode", "formula",
+        *(["--json"] if as_json else []),
+    )
+    assert code == 0
+    assert digit_limit() == limit
+    if as_json:
+        data = parse_any_digits(json.loads, out)
+    else:
+        fields = dict(line.split("=", 1) for line in out.splitlines())
+        data = {
+            key: parse_any_digits(int, fields[key])
+            for key in ("lower_bound", "upper_bound")
+        }
+    assert 10**4300 < data["lower_bound"] <= data["upper_bound"] < 2**20000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--family", "A", "--l", "20", "--mode", "brute"],
+        ["stats", "--exhaustive"],
+    ],
+)
+def test_budget_refusal_past_the_digit_limit(capsys, argv):
+    code, out, err = run(capsys, *argv, "--q", "2", "--n", "20000", "--p", "4")
+    assert code == 5
+    assert out == ""
+    assert err == (
+        "budget exceeded: enumerating 2**20000 words exceeds the budget "
+        "of 16777216\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "family,q,n,l,p,label",
+    [
+        ("A", 2, 6, 6, 3, "Moebius inclusion-exclusion"),
+        ("A", 3, 6, 6, 5, "Moebius inclusion-exclusion"),
+        ("B", 2, 6, 6, 3, "whole-word power difference"),
+        ("B", 3, 5, 5, 2, "whole-word power difference"),
+        ("B", 2, 5, 7, 3, "no closed form for windows longer than the word"),
+    ],
+)
+def test_count_whole_word_regimes(capsys, family, q, n, l, p, label):
+    code, out, _ = run(
+        capsys, "count", "--family", family, "--q", str(q), "--n", str(n),
+        "--l", str(l), "--p", str(p), "--json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    expected = naive_count(family, q, n, l, p)
+    assert data["exact"] == expected
+    assert data["formula"] == (expected if n == l else None)
+    assert data["provenance"]["formula"] == label
+    assert data["consistent"] is True
+
+
+def test_count_reports_a_formula_off_by_one(monkeypatch, capsys):
+    whole = cardinality.lpa_count_whole
+    monkeypatch.setattr(
+        cardinality, "lpa_count_whole", lambda q, n, p: whole(q, n, p) + 1
+    )
+    code, out, err = run(
+        capsys, "count", "--family", "A", "--q", "2", "--n", "6",
+        "--l", "6", "--p", "3",
+    )
+    exact = naive_count("A", 2, 6, 6, 3)
+    assert code == 4
+    assert "consistent=False" in out.splitlines()
+    assert err == f"violation: formula value {exact + 1} != exact value {exact}\n"
 
 
 def test_count_brute_budget_exit(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lpacodes import codec, segmented
 from lpacodes.codec import (
     EncodeTrace,
     LpaParams,
@@ -428,6 +429,72 @@ def test_decode_rejects_symbols_outside_alphabet():
     params = derive_params(3, 7, 2)
     with pytest.raises(ValueError):
         decode(Word([0] * 8, 2), params)  # alphabet mismatch
+
+
+# ------------------------------------------------------------ input checks
+
+EX = derive_params(2, 14, 4)
+SEG = segmented.select_construction(2, 28, 8, 4).params
+# entry point -> (call on one word, noun in its error, expected length)
+ENTRY_POINTS = {
+    "encode": (lambda w: encode(w, EX), "message", 14),
+    "replay_trace": (lambda w: replay_trace(w, EX, EncodeTrace(())), "message", 14),
+    "repair": (lambda w: repair(w, EX), "codeword", 15),
+    "inverse_repair": (lambda w: inverse_repair(w, EX), "codeword", 15),
+    "decode": (lambda w: decode(w, EX), "codeword", 15),
+    "segmented.encode": (lambda w: segmented.encode(w, SEG), "message", SEG.n),
+    "segmented.decode": (
+        lambda w: segmented.decode(w, SEG),
+        "codeword",
+        SEG.n + SEG.total_redundancy,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_every_entry_point_checks_length_and_alphabet(name):
+    call, noun, length = ENTRY_POINTS[name]
+    short = Word("0" * (length - 1), 2)
+    with pytest.raises(ValueError, match=f"^{noun} must have {length} symbols, got {length - 1}$"):
+        call(short)
+    # the right length over {0, 1, 2, 3}: q = 2 parameters must not take it
+    wide = Word(("0123" * length)[:length], 4)
+    with pytest.raises(ValueError, match=f"^{noun} alphabet 4 does not match q=2$"):
+        call(wide)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_repair_loops_stop_at_their_budget(monkeypatch, batched):
+    # an excision that changes nothing leaves the same window offending,
+    # so the loop runs into its budget of q**4 * (n + 1) = 240 repairs
+    calls = []
+
+    def keep_word(state, params, index, period):
+        calls.append(index)
+        return state.copy() if batched else state[index : index + period].copy()
+
+    monkeypatch.setattr(codec, "_excise_rows" if batched else "_excise", keep_word)
+    with pytest.raises(AssertionError, match="exceeded its safety budget"):
+        if batched:
+            _encode_rows(np.zeros((1, 14), dtype=np.uint8), EX)
+        else:
+            encode(Word("0" * 14, 2), EX)
+    assert len(calls) == 2**4 * 15
+
+
+def test_batched_decode_cross_checks_its_failures(monkeypatch):
+    # a row the batched loop rejects but decode accepts is a defect
+    codewords = _encode_rows(np.zeros((2, 14), dtype=np.uint8), EX)
+    restore_rows = codec._restore_rows
+
+    def reject_row_0(state, params):
+        out, sound = restore_rows(state, params)
+        sound[0] = False
+        return out, sound
+
+    monkeypatch.setattr(codec, "_restore_rows", reject_row_0)
+    with pytest.raises(AssertionError, match="decode accepted a codeword its batched form rejects"):
+        _decode_rows(codewords, EX)
 
 
 # -------------------------------------------------------------- the trace
