@@ -31,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceededError
-from .periodicity import Word, _dtype_for, _first_windows, _leftmost_run
+from .periodicity import Word, _dtype_for, _first_windows
 
 __all__ = [
     "Family",
@@ -135,16 +135,14 @@ def _forbidden_periods(family: Family, p: int) -> tuple[int, ...]:
     return (p,) if family is Family.PA else tuple(range(1, p))
 
 
-def _enumerate(family: Family, q: int, n: int, l: int | None, p: int | None, k: int | None) -> int:
-    """Family size by testing every word, one lexicographic chunk at a time."""
-    total = 0
-    for rows in _lex_chunks(q, n):
-        if family is Family.RLL:
-            bad = _leftmost_run(rows == 0, k) >= 0
-        else:
-            bad = _first_windows(rows, l, _forbidden_periods(family, p))[0] >= 0
-        total += int(rows.shape[0] - np.count_nonzero(bad))
-    return total
+def _enumerate(family: Family, q: int, n: int, l: int, p: int) -> int:
+    """Size of a window family by testing every word, one lexicographic
+    chunk at a time."""
+    periods = _forbidden_periods(family, p)
+    return sum(
+        int(np.count_nonzero(_first_windows(rows, l, periods)[0] < 0))
+        for rows in _lex_chunks(q, n)
+    )
 
 
 def _count_zero_runs(q: int, n: int, k: int) -> int:
@@ -236,7 +234,7 @@ def _count_exact(
     count = _count_window_states(q, n, l, _forbidden_periods(family, p), max_states)
     if count is not None:
         return count, "window-state DP"
-    return _enumerate(family, q, n, l, p, k), "chunked lexicographic enumeration"
+    return _enumerate(family, q, n, l, p), "chunked lexicographic enumeration"
 
 
 @lru_cache(maxsize=None)

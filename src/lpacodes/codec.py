@@ -3,10 +3,10 @@
 Encoding appends a marker symbol and then repeatedly excises the first
 window whose least period falls below the target, appending in its place
 a fixed-size record: the window's period kernel, a separator ``1``,
-zero padding, the window index in fixed-width base-q digits, and a
-trailing ``0``.  The record is exactly one window long, so every repair
-preserves the overall length.  Decoding walks those records backwards
-until the original marker ``1`` reappears at the end.
+zero padding, the window index in base-q digits (place values from
+``LpaParams._place_values``), and a trailing ``0``.  The record is
+exactly one window long, so every repair Decoding walks those records backwards until the original marker ``1``
+reappears at the end.
 
 (q, n, p) fix the code: the window l is the least whose l - p - 1 index
 digits can address every window start, n <= q**(l - p - 1) + l - 2.
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -82,17 +83,15 @@ class LpaParams:
     l: int
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {self.q}")
-        if self.p < 2:
-            raise ValueError(f"least-period target must be at least 2, got {self.p}")
+        _check_alphabet_and_target(self.q, self.p)
         if self.l < self.p + 2:
             raise ValueError(
                 f"window length {self.l} is too small for period target {self.p}"
             )
         if self.l > self.n:
             raise ValueError(
-                f"window length {self.l} exceeds message length {self.n}"
+                f"message length {self.n} is too short for one repair record "
+                f"of {self.l} symbols"
             )
         if self.n > _capacity(self.q, self.l, self.p):
             raise ValueError(
@@ -106,6 +105,25 @@ class LpaParams:
         window after the p-symbol kernel block and the trailing 0."""
         return self.l - self.p - 1
 
+    @cached_property
+    def _place_values(self) -> tuple[int, ...]:
+        """Place value of each index digit, most significant first, capped
+        at the codeword length n + 1: every window index lies below it, so a
+        capped place gives the digit 0, as its power would, in an int64."""
+        values, value = [], 1
+        for _ in range(self.index_width):
+            values.append(value)
+            value = min(value * self.q, self.n + 1)
+        return tuple(values[::-1])
+
+
+def _check_alphabet_and_target(q: int, p: int) -> None:
+    """The q >= 2, p >= 2 check of LpaParams, derive_params and plan."""
+    if q < 2:
+        raise ValueError(f"alphabet size must be at least 2, got {q}")
+    if p < 2:
+        raise ValueError(f"least-period target must be at least 2, got {p}")
+
 
 def _capacity(q: int, l: int, p: int) -> int:
     """Longest message a window of l symbols can serve: a codeword of n + 1
@@ -117,19 +135,12 @@ def _capacity(q: int, l: int, p: int) -> int:
 def derive_params(q: int, n: int, p: int) -> LpaParams:
     """Least window length whose record can index every window start.
 
-    The capacity grows with l and reaches n by l = n at the latest, so
-    the least l with n <= q**(l - p - 1) + l - 2 always exists.
+    The least l with n <= q**(l - p - 1) + l - 2 is at most n once n >= p + 2;
+    ``LpaParams`` refuses a shorter n.  q and p are checked first: at q < 2
+    the search would run to n.
     """
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
-    if p < 2:
-        raise ValueError(f"least-period target must be at least 2, got {p}")
-    if n <= p + 2:
-        raise ValueError(
-            f"message length must exceed p + 2 = {p + 2} to fit one repair "
-            f"record, got {n}"
-        )
-    l = next(l for l in range(p + 2, n + 1) if n <= _capacity(q, l, p))
+    _check_alphabet_and_target(q, p)
+    l = next((l for l in range(p + 2, n + 1) if n <= _capacity(q, l, p)), p + 2)
     return LpaParams(q=q, n=n, p=p, l=l)
 
 
@@ -149,27 +160,12 @@ class EncodeTrace:
     steps: tuple[RepairStep, ...]
 
 
-def _index_digits(value: int, width: int, q: int) -> list[int]:
-    digits = [0] * width
-    for pos in range(width - 1, -1, -1):
-        value, digits[pos] = divmod(value, q)
-    if value:
-        raise AssertionError("window index does not fit its digit field")
-    return digits
-
-
-def _digits_value(digits: list[int], q: int) -> int:
-    value = 0
-    for d in digits:
-        value = value * q + d
-    return value
-
-
 def _excise(buf: np.ndarray, params: LpaParams, index: int, period: int) -> np.ndarray:
     """Excise the window at ``index`` from the state ``buf`` in place and
     write its repair record over the last l symbols; returns a copy of the
-    window's kernel."""
-    l, total = params.l, len(buf)
+    window's kernel.  The index digit of place value w is index // w % q,
+    w from ``params._place_values``."""
+    l, q, total = params.l, params.q, len(buf)
     # A copy, not a view: the shift below overwrites the window, and the
     # kernel outlives this step in the trace.
     kernel = buf[index : index + period].copy()
@@ -177,7 +173,7 @@ def _excise(buf: np.ndarray, params: LpaParams, index: int, period: int) -> np.n
         kernel.tolist()
         + [1]
         + [0] * (params.p - period - 1)
-        + _index_digits(index, params.index_width, params.q)
+        + [index // w % q for w in params._place_values]
         + [0]
     )
     buf[index : total - l] = buf[index + l :]
@@ -187,15 +183,19 @@ def _excise(buf: np.ndarray, params: LpaParams, index: int, period: int) -> np.n
 
 def _restore(buf: np.ndarray, params: LpaParams) -> None:
     """Undo, in place, the repair record that fills the last l symbols of
-    the state ``buf``; the caller has checked that ``buf`` ends in 0.
+    the state ``buf``; the caller has checked that ``buf`` ends in 0.  The
+    index is read by Horner's rule, uncapped, where ``_excise`` wrote its
+    digits from ``params._place_values``.
 
     Raises CorruptCodewordError when the record cannot have been produced
     by ``_excise``: index out of range, an all-zero kernel block, or a
     kernel separator other than 1.
     """
-    l, p, total = params.l, params.p, len(buf)
+    l, p, q, total = params.l, params.p, params.q, len(buf)
     record = buf[total - l :].tolist()
-    index = _digits_value(record[p:-1], params.q)
+    index = 0
+    for digit in record[p:-1]:
+        index = index * q + digit
     if index > total - l:
         raise CorruptCodewordError(
             f"window index {index} exceeds the last window start {total - l}"
@@ -369,7 +369,8 @@ def _excise_rows(
 ) -> np.ndarray:
     """``_excise`` on every row of the 2-D ``state`` at once, the window of
     row r at ``index[r]`` with least period ``period[r]``; returns the new
-    states as a new array.  The tails move left by one masked select."""
+    states as a new array.  The tails move left by one masked select; the
+    index digits come from ``params._place_values``, capped at the row length."""
     rows, total = state.shape
     l, p, q = params.l, params.p, params.q
     start = total - l
@@ -381,10 +382,7 @@ def _excise_rows(
     out[:, start : start + p] = np.where(
         slot < period[:, None], kernel, slot == period[:, None]
     )
-    # every index is below total, so a weight capped at total still gives
-    # the digit 0, as its power would, and fits an int64
-    weights = [min(q**e, total) for e in range(params.index_width - 1, -1, -1)]
-    out[:, start + p : -1] = index[:, None] // np.array(weights) % q
+    out[:, start + p : -1] = index[:, None] // np.array(params._place_values) % q
     out[:, -1] = 0
     return out
 
@@ -393,15 +391,16 @@ def _restore_rows(state: np.ndarray, params: LpaParams) -> tuple[np.ndarray, np.
     """``_restore`` on every row of the 2-D ``state`` at once; returns the
     new states as a new array and which rows were sound: those that end in
     the step marker 0 and whose record passes ``_restore``'s checks.  The
-    other rows of the result are meaningless."""
+    other rows of the result are meaningless.  The index is read with
+    ``params._place_values``, split at the last window start."""
     rows, total = state.shape
-    l, p, q = params.l, params.p, params.q
+    l, p = params.l, params.p
     start = total - l
     block = state[:, start : start + p]
     period = p - 1 - (block[:, ::-1] != 0).argmax(axis=1)
-    weights = [q**e for e in range(params.index_width - 1, -1, -1)]
-    # a nonzero digit whose weight passes every window start puts the index
-    # out of range; the others add up to less than q * start, an int64
+    weights = params._place_values
+    # a nonzero digit whose weight (capped or not) passes every window start
+    # puts the index out of range; the others add up to less than q * start
     high = sum(w > start for w in weights)
     digits = state[:, start + p : -1].astype(np.int64)
     index = digits[:, high:] @ np.array(weights[high:], dtype=np.int64)
@@ -516,23 +515,13 @@ class StepStats:
 
 def step_statistics(params: LpaParams, inputs: Iterable[Word]) -> StepStats:
     """Encode every input and tally how many repairs each one needed."""
-    hist: Counter[int] = Counter()
-    total = 0
-    count = 0
-    max_steps = 0
-    for x in inputs:
-        _, trace = encode(x, params)
-        steps = len(trace.steps)
-        hist[steps] += 1
-        total += steps
-        count += 1
-        if steps > max_steps:
-            max_steps = steps
-    if count == 0:
+    hist = Counter(len(encode(x, params)[1].steps) for x in inputs)
+    if not hist:
         raise ValueError("statistics need at least one input word")
+    count = sum(hist.values())
     return StepStats(
-        mean_steps=Fraction(total, count),
-        max_steps=max_steps,
+        mean_steps=Fraction(sum(steps * c for steps, c in hist.items()), count),
+        max_steps=max(hist),
         histogram=dict(sorted(hist.items())),
         total_words=count,
     )

@@ -8,8 +8,8 @@ below a target.
 Every window question goes through one kernel, ``_leftmost_run``: the
 leftmost run of at least ``need`` True entries in a bool mask.  A window
 has period p exactly when the shift-comparison mask ``w[i] == w[i+p]``
-holds over its first l - p positions, so ``is_pa`` asks it about such a
-mask, and ``is_rll`` asks it about ``w == 0``.  A row shorter than
+holds over its first l - p positions, and ``is_rll`` asks it about the
+mask ``w == 0``.  A row shorter than
 30,000 entries is a substring search; longer rows, and a matrix of rows,
 take log-step doubling (see ``_leftmost_run``).  One search,
 ``_first_windows``, finds the leftmost window with a period in a given
@@ -19,13 +19,13 @@ those that divide no other one, since a window with period d also has
 every multiple of d below l as a period; then it finds the least period
 on the one window it found.  ``first_violation`` (and through it
 ``is_lpa`` and ``least_period_below``) asks it about one word and the
-periods below p; the codec's batched repair loop asks it about the
-segments of a segmented layout; and the counting engine keeps only
-whether each row of a chunk of enumerated words has such a window
-(periods below p for LPA, exactly p for PA).
-Whole-word period tests (``has_period`` and ``extension_symbol``) compare
-the two shifted copies directly; ``_extension_symbols``, which
-``extension_symbol`` calls on one row, does so for many words at once.
+periods below p, and ``is_pa`` about the period p alone; the codec's
+batched repair loop asks it about the segments of a segmented layout;
+and the counting engine keeps only whether each row of a chunk of
+enumerated words has such a window (periods below p for LPA, exactly p
+for PA).  Whole-word period tests compare the two shifted copies
+directly: ``_periodic`` the bytes of one word (for ``has_period`` and a
+found window's least period), ``_extension_symbols`` many words at once.
 
 Symbol text for q <= 10 is a line of ASCII digits, read and written as
 bytes (one byte per symbol, offset by ``ord("0")``).  Comma-separated
@@ -212,8 +212,13 @@ def has_period(w: Word, p: int) -> bool:
     """True iff every symbol of ``w`` equals the symbol ``p`` positions later."""
     if not 1 <= p <= len(w) - 1:
         raise ValueError(f"period must lie in [1, {len(w) - 1}], got {p}")
-    arr = w.symbols
-    return arr[:-p].tobytes() == arr[p:].tobytes()
+    return _periodic(w.symbols, p)
+
+
+def _periodic(arr: np.ndarray, d: int) -> bool:
+    """Whether the 1-D ``arr`` has period d, by one compare of its bytes."""
+    text, cut = arr.tobytes(), d * arr.itemsize
+    return text[:-cut] == text[cut:]
 
 
 # A 1-D mask this long or longer takes log-step doubling.  CPython's
@@ -273,18 +278,6 @@ def _maximal(periods) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return top, tuple(d for d in periods if d not in top)
 
 
-def _least_period(window: np.ndarray, periods, least: int) -> int:
-    """The least of ``least`` and the ``periods`` (ascending) that the 1-D
-    ``window`` has."""
-    size, text = window.itemsize, window.tobytes()
-    for d in periods:
-        if d >= least:
-            break
-        if text[: -d * size] == text[d * size :]:
-            return d
-    return least
-
-
 def _first_windows(
     rows: np.ndarray, l: int, periods
 ) -> tuple[int, int] | tuple[np.ndarray, np.ndarray]:
@@ -300,7 +293,8 @@ def _first_windows(
     below 4, {3, 4, 5} below 6 (``_maximal`` splits each set once and
     caches it).  The smallest maximal period that finds the window is its
     least maximal period; the other periods of the set are then tested on
-    that one window of l symbols, in ascending order, for a smaller one.
+    that one window of l symbols, in ascending order, for a smaller one
+    (each is at most half a period it divides, below every maximal one).
 
     A word, and a one-row matrix (where a 2-D pass costs about ten times
     as much), asks ``_leftmost_run`` once per maximal period, each time
@@ -320,7 +314,10 @@ def _first_windows(
                 if start == 0:
                     break
         if index >= 0 and rest:
-            least = _least_period(rows[index : index + l], rest, least)
+            window = rows[index : index + l]
+            for period in rest:
+                if _periodic(window, period):
+                    return index, period
         return index, least
     index = np.full(len(rows), -1)
     least = np.zeros(len(rows), dtype=np.int64)
@@ -334,16 +331,13 @@ def _first_windows(
         windows = rows[hit[:, None], index[hit, None] + np.arange(l)]
         for period in reversed(rest):  # the smallest written last wins
             has = (windows[:, :-period] == windows[:, period:]).all(axis=1)
-            least[hit[has & (period < least[hit])]] = period
+            least[hit[has]] = period
     return index, least
 
 
 def least_period_below(w: Word, p: int) -> int | None:
-    """Smallest period of ``w`` that is < ``p``, or None if there is none."""
-    if p < 2:
-        raise ValueError(f"period threshold must be at least 2, got {p}")
-    if len(w) < 2:
-        raise ValueError("word must have at least 2 symbols")
+    """Smallest period of ``w`` that is < ``p``, or None if there is none;
+    the ValueErrors are ``first_violation``'s, the whole word its window."""
     violation = first_violation(w, len(w), p)
     return None if violation is None else violation.least_period
 
@@ -357,10 +351,7 @@ def is_pa(w: Word, l: int, p: int) -> bool:
         raise ValueError(f"window length must be at least 2, got {l}")
     if not 1 <= p < l:
         raise ValueError(f"period must lie in [1, {l - 1}], got {p}")
-    if len(w) < l:
-        return True
-    arr = w.symbols
-    return _leftmost_run(arr[:-p] == arr[p:], l - p) < 0
+    return _first_windows(w.symbols, l, (p,))[0] < 0
 
 
 def is_lpa(w: Word, l: int, p: int) -> bool:

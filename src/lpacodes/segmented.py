@@ -41,7 +41,7 @@ from typing import Mapping
 import numpy as np
 
 from . import codec
-from .codec import LpaParams, _capacity
+from .codec import LpaParams, _capacity, _check_alphabet_and_target
 from .errors import CorruptCodewordError, InfeasibleParametersError
 from .periodicity import Word, _extension_symbols
 # perfbench/tracer.py wraps extension_symbol under this module's name
@@ -192,10 +192,7 @@ def plan(q: int, n: int, l: int, p: int, variant: Variant) -> SegmentedParams:
     least count with a shorter longest segment: O(sqrt(n)) steps.
     """
     variant = Variant(variant)
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
-    if p < 2:
-        raise ValueError(f"least-period target must be at least 2, got {p}")
+    _check_alphabet_and_target(q, p)
     if n < 1:
         raise ValueError(f"message length must be positive, got {n}")
     seg_window = _segment_window(variant, l, p)

@@ -715,9 +715,9 @@ def test_missing_file(capsys):
 
 def test_infeasible_params_exit(tmp_path, capsys):
     src = tmp_path / "in.txt"
-    write_words(src, ["0101"])
+    write_words(src, ["010"])
     code, _, err = run(
-        capsys, "encode", "--q", "2", "--n", "4", "--p", "2",
+        capsys, "encode", "--q", "2", "--n", "3", "--p", "2",
         "--in", str(src), "--out", "-",
     )
     assert code == 2

@@ -58,8 +58,9 @@ def test_derive_params_window_choices(q, n, p, l, width):
 
 
 def test_derive_params_needs_room():
-    with pytest.raises(ValueError):
-        derive_params(2, 4, 2)  # n must exceed p + 2
+    # n must be at least p + 2
+    with pytest.raises(ValueError, match="^message length 3 is too short for one repair"):
+        derive_params(2, 3, 2)
     with pytest.raises(ValueError):
         derive_params(1, 10, 2)
     with pytest.raises(ValueError):
@@ -249,6 +250,21 @@ def test_engine_matches_oracle_exhaustively(q, p, largest):
         for tup in all_tuples(q, n + 1):
             y = Word(list(tup), q)
             assert _outcome(decode, y, params) == _outcome(naive_decode, y, params)
+
+
+@pytest.mark.parametrize("q,p", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 2)])
+def test_shortest_message_round_trips_exhaustively(q, p):
+    # n = p + 2, the shortest message a repair record fits: the window is
+    # the whole message and its one index digit addresses both starts
+    n = p + 2
+    params = derive_params(q, n, p)
+    assert params.l == n
+    for tup in all_tuples(q, n):
+        x = Word(list(tup), q)
+        y, trace = encode(x, params)
+        assert naive_window_clean(y.to_list(), params.l, params.p)
+        assert (y, _steps(trace)) == naive_encode(x, params)
+        assert decode(y, params) == x
 
 
 # ------------------------------------------------------- batched rows

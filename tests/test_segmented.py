@@ -136,8 +136,7 @@ def test_capacity_rule_agrees_across_its_users():
                     except ValueError:
                         built = False
                     assert built == fits, (q, n, p, l)
-                    if n > p + 2:
-                        assert (derive_params(q, n, p).l <= l) == fits
+                    assert (derive_params(q, n, p).l <= l) == fits
                     # half-window segments of window l: one segment iff it fits
                     try:
                         k = segmented.plan(q, n, 2 * l, p, Variant.HALF_WINDOW).k
