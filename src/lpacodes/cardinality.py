@@ -31,7 +31,13 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceededError
-from .periodicity import Word, _dtype_for, _first_windows
+from .periodicity import (
+    Word,
+    _check_alphabet,
+    _check_run_length,
+    _dtype_for,
+    _first_windows,
+)
 
 __all__ = [
     "Family",
@@ -82,8 +88,7 @@ class CountQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {self.q}")
+        _check_alphabet(self.q)
         if self.n < 1:
             raise ValueError(f"word length must be positive, got {self.n}")
         if self.family is Family.RLL:
@@ -353,8 +358,7 @@ def rll_count_upper(q: int, n: int, k: int) -> int:
     up (with a hair of extra slack so float error can only loosen it).
     Requires n >= 2k.
     """
-    if k < 1:
-        raise ValueError(f"run length must be at least 1, got {k}")
+    _check_run_length(k)
     if n < 2 * k:
         raise ValueError(f"analytic bound needs n >= 2k = {2 * k}, got {n}")
     c = (q - 1) ** 2 / (2 * q * q * math.log(q))
@@ -424,8 +428,7 @@ def min_window_feasible(q: int, n: int, p: int) -> int:
     A window below this cannot support a single-redundancy code; the gap
     to the constructive window from ``derive_params`` stays small.
     """
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
+    _check_alphabet(q)
     if p < 1 or n < 1:
         raise ValueError("n and p must be positive")
     l = 2

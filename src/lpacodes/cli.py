@@ -28,7 +28,7 @@ import numpy as np
 from . import cardinality, codec, segmented
 from .cardinality import CountQuery, Family
 from .errors import BudgetExceededError, CorruptCodewordError
-from .periodicity import Word, _leftmost_run, first_violation
+from .periodicity import Word, _check_run_length, _leftmost_run, first_violation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -159,8 +159,8 @@ def cmd_check(args) -> int:
     if (args.l, args.p).count(None) != (0 if args.rll is None else 2):
         print("check: need either --l and --p, or --rll K", file=sys.stderr)
         return EXIT_USAGE
-    if args.rll is not None and args.rll < 1:
-        raise ValueError("run length must be at least 1")
+    if args.rll is not None:
+        _check_run_length(args.rll)
 
     def verdict(i: int, w: Word) -> tuple[str, bool]:
         if args.rll is not None:

@@ -5,19 +5,30 @@ window whose least period falls below the target, appending in its place
 a fixed-size record: the window's period kernel, a separator ``1``,
 zero padding, the window index in base-q digits (place values from
 ``LpaParams._place_values``), and a trailing ``0``.  The record is
-exactly one window long, so every repair Decoding walks those records backwards until the original marker ``1``
-reappears at the end.
+exactly one window long, so every repair keeps the word at n + 1
+symbols.  Decoding walks those records backwards until the original
+marker ``1`` reappears at the end.
 
 (q, n, p) fix the code: the window l is the least whose l - p - 1 index
 digits can address every window start, n <= q**(l - p - 1) + l - 2.
 
-``encode`` and ``decode`` each hold their state in one writable array
-and change it in place.  ``_excise`` and ``_restore`` are the two
-directions of the record format, written once: an excision is one left
-shift of the tail over the window (a memmove) plus one write of the
-record, and a restore copies the tail aside, shifts it back right and
-writes the rebuilt window.  ``repair``, ``inverse_repair`` and
-``replay_trace`` call them on a copy of their input.
+``encode``, ``decode``, ``repair``, ``inverse_repair`` and ``replay_trace``
+hold their state in one ``bytearray`` of raw symbol bytes (one symbol is
+``itemsize`` bytes of the words' dtype, so every offset scales by it) and
+change it in place.  ``_excise`` and ``_restore`` are the two directions
+of the record format, written once.  An excision deletes the window's
+bytes, one memmove of the tail, and appends the record; CPython deletes
+from the front of a bytearray by moving its start, so an excision at
+index 0 copies nothing.  A restore deletes the record from the end and
+inserts the rebuilt window at its index, one memmove of the tail the
+other way.  Each window probe is a numpy view of the bytearray that lives
+only for its call, since a bytearray with a view on it cannot resize.
+The record's separator blocks and struct formats are built at the first
+repair under a parameter set and kept with it, so a clean message pays
+for none of them.  A message needs many repairs only where a long
+stretch of it has a short period, which is excised window by window from
+one index; such steps reuse that index's digits (``LpaParams._fields``)
+and, within one ``encode``, its trace entry.
 
 The first scan reads the whole word, since most messages need no
 repair.  After a repair at window ``i``, the symbols before ``i`` are
@@ -27,9 +38,12 @@ offender.  So the next scan resumes at ``i - l + 1``.  It probes slices
 of 2l, 4l, 8l, ... symbols, overlapping by l - 1 so every window lies
 whole in one probe, and takes the rest of the word at once when fewer
 than 16l symbols would be left: a step scans O(l + distance to the next
-offender) symbols, not the whole word.  What each step still costs is
-the tail shift, O(n) bytes copied in C, and in ``decode`` the compare of
-Brent's cycle guard, also O(n).
+offender) symbols, not the whole word.  The tail memmove is O(n) bytes
+per step, in C; it is free for an excision at the front but costs most
+for a restore there.  ``decode``'s cycle guard (Brent's) compares the
+state with a saved copy on every step, a memcmp that stops at the first
+difference, and copies the state only when the saved copy moves, after
+1, 2, 4, ... steps.
 
 ``_encode_rows`` and ``_decode_rows`` run the same loops over a matrix of
 short words at once, one word per row (the segments of a segmented
@@ -41,6 +55,8 @@ shorter than one probe.
 
 from __future__ import annotations
 
+import struct
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,7 +66,14 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CorruptCodewordError
-from .periodicity import Word, WindowViolation, _first_windows, first_violation
+from .periodicity import (
+    Word,
+    WindowViolation,
+    _check_alphabet,
+    _dtype_for,
+    _first_windows,
+    first_violation,
+)
 
 __all__ = [
     "LpaParams",
@@ -116,11 +139,36 @@ class LpaParams:
             value = min(value * self.q, self.n + 1)
         return tuple(values[::-1])
 
+    @cached_property
+    def _dtype(self) -> np.dtype:
+        """dtype of every Word over q: the symbol width of a state's bytes."""
+        return np.dtype(_dtype_for(self.q))
+
+    @cached_property
+    def _record_format(self) -> tuple[tuple[bytes, ...], str, str]:
+        """The record in raw symbol bytes: the separator block after a
+        kernel of each period d < p (a 1, then p - d - 1 zeros; entry 0 is
+        unused), the struct format of the index digits and the trailing 0,
+        and the struct format of a whole record."""
+        char = self._dtype.char
+        separators = tuple(
+            struct.pack(f"@{self.p - d}{char}", 1, *[0] * (self.p - d - 1))
+            for d in range(self.p)
+        )
+        return separators, f"@{self.index_width + 1}{char}", f"@{self.l}{char}"
+
+    @cached_property
+    def _fields(self) -> dict[int, bytes]:
+        """Index fields of recent records by index: the index digits and the
+        trailing 0, as raw symbol bytes.  Repairs of a long periodic stretch
+        repeat one index, so few fields recur; ``_excise`` empties the map
+        when it reaches ``_FIELDS_KEPT`` entries, which bounds its memory."""
+        return {}
+
 
 def _check_alphabet_and_target(q: int, p: int) -> None:
     """The q >= 2, p >= 2 check of LpaParams, derive_params and plan."""
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
+    _check_alphabet(q)
     if p < 2:
         raise ValueError(f"least-period target must be at least 2, got {p}")
 
@@ -160,28 +208,34 @@ class EncodeTrace:
     steps: tuple[RepairStep, ...]
 
 
-def _excise(buf: np.ndarray, params: LpaParams, index: int, period: int) -> np.ndarray:
+_FIELDS_KEPT = 1024
+
+
+def _excise(buf: bytearray, params: LpaParams, index: int, period: int) -> bytes:
     """Excise the window at ``index`` from the state ``buf`` in place and
-    write its repair record over the last l symbols; returns a copy of the
-    window's kernel.  The index digit of place value w is index // w % q,
-    w from ``params._place_values``."""
-    l, q, total = params.l, params.q, len(buf)
-    # A copy, not a view: the shift below overwrites the window, and the
-    # kernel outlives this step in the trace.
-    kernel = buf[index : index + period].copy()
-    record = (
-        kernel.tolist()
-        + [1]
-        + [0] * (params.p - period - 1)
-        + [index // w % q for w in params._place_values]
-        + [0]
-    )
-    buf[index : total - l] = buf[index + l :]
-    buf[total - l :] = record
+    append its repair record; returns the bytes of the window's kernel.
+    The index digit of place value w is index // w % q, w from
+    ``params._place_values``."""
+    size = params._dtype.itemsize
+    separators, tail, _ = params._record_format
+    at = index * size
+    kernel = bytes(buf[at : at + period * size])
+    del buf[at : at + params.l * size]
+    buf += kernel
+    buf += separators[period]
+    fields = params._fields
+    field = fields.get(index)
+    if field is None:
+        if len(fields) >= _FIELDS_KEPT:
+            fields.clear()
+        q = params.q
+        digits = [index // w % q for w in params._place_values]
+        field = fields[index] = struct.pack(tail, *digits, 0)
+    buf += field
     return kernel
 
 
-def _restore(buf: np.ndarray, params: LpaParams) -> None:
+def _restore(buf: bytearray, params: LpaParams) -> None:
     """Undo, in place, the repair record that fills the last l symbols of
     the state ``buf``; the caller has checked that ``buf`` ends in 0.  The
     index is read by Horner's rule, uncapped, where ``_excise`` wrote its
@@ -191,14 +245,15 @@ def _restore(buf: np.ndarray, params: LpaParams) -> None:
     by ``_excise``: index out of range, an all-zero kernel block, or a
     kernel separator other than 1.
     """
-    l, p, q, total = params.l, params.p, params.q, len(buf)
-    record = buf[total - l :].tolist()
+    l, p, q, size = params.l, params.p, params.q, params._dtype.itemsize
+    end = len(buf) - l * size
+    record = struct.unpack_from(params._record_format[2], buf, end)
     index = 0
     for digit in record[p:-1]:
         index = index * q + digit
-    if index > total - l:
+    if index > end // size:
         raise CorruptCodewordError(
-            f"window index {index} exceeds the last window start {total - l}"
+            f"window index {index} exceeds the last window start {end // size}"
         )
 
     block = record[:p]
@@ -216,19 +271,29 @@ def _restore(buf: np.ndarray, params: LpaParams) -> None:
     if period < 1:
         raise CorruptCodewordError("kernel block encodes an impossible period 0")
 
-    # Build the window before the shift overwrites its record.  The tail
-    # goes aside first: numpy shifts an overlapping slice right many times
-    # slower than it copies a separate one.
-    window = buf[total - l : total - l + period][np.arange(l) % period]
-    tail = buf[index : total - l].copy()
-    buf[index + l :] = tail
-    buf[index : index + l] = window
+    kernel = buf[end : end + period * size]
+    del buf[end:]
+    at = index * size
+    buf[at:at] = (kernel * -(-l // period))[: l * size]
 
 
-def _marked(x: Word) -> np.ndarray:
-    """A writable copy of the message followed by the marker 1."""
-    arr = x.symbols
-    return np.concatenate([arr, np.ones(1, dtype=arr.dtype)])
+def _marked(x: Word) -> bytearray:
+    """The state of a message: its symbol bytes followed by the marker 1."""
+    buf = bytearray(x.symbols.data)
+    buf += (1).to_bytes(x.symbols.itemsize, sys.byteorder)
+    return buf
+
+
+def _word(buf: bytes | bytearray, params: LpaParams) -> Word:
+    """The word whose raw symbol bytes are ``buf``, a read-only view of it;
+    a bytearray must not be resized again while the word lives."""
+    return Word._trusted(np.frombuffer(buf, params._dtype), params.q)
+
+
+def _kernel(kernel: bytes, params: LpaParams) -> Word:
+    """The kernel word of a trace entry, from the bytes ``_excise``
+    returned; it owns its symbols."""
+    return Word._trusted(np.frombuffer(kernel, params._dtype).copy(), params.q)
 
 
 def _repair_budget(params: LpaParams) -> int:
@@ -244,7 +309,7 @@ _OVERRUN = (
 
 
 def _scan(
-    buf: np.ndarray, params: LpaParams, start: int, size: int
+    buf: bytearray, params: LpaParams, start: int, size: int
 ) -> WindowViolation | None:
     """First offending window of the state ``buf`` that starts at ``start``
     or later, or None.
@@ -256,15 +321,25 @@ def _scan(
     symbols takes them too: one call costs about as much as scanning
     thousands of symbols, so a short word, such as a segment, gets one
     probe.  Each probe goes through the name ``first_violation``, so a
-    wrapper bound to it sees every symbol scanned.
+    wrapper bound to it sees every symbol scanned.  A probe is a view of
+    ``buf`` that no one holds once the call returns.
     """
-    l, q, total = params.l, params.q, len(buf)
+    l, q, dtype = params.l, params.q, params._dtype
+    total = len(buf) // dtype.itemsize
     while True:
         stop = start + size
         if stop > total - 16 * l:
             stop = total
-        found = first_violation(Word._trusted(buf[start:stop], q), l, params.p)
+        found = first_violation(
+            Word._trusted(
+                np.frombuffer(buf, dtype, stop - start, start * dtype.itemsize), q
+            ),
+            l,
+            params.p,
+        )
         if found is not None:
+            if start == 0:  # the probe's offsets are the word's
+                return found
             return WindowViolation(start + found.index, found.least_period)
         if stop == total:
             return None
@@ -282,10 +357,9 @@ def repair(y: Word, params: LpaParams) -> tuple[Word, RepairStep]:
     if violation is None:
         raise ValueError("word has no offending window; nothing to repair")
     index, period = violation.index, violation.least_period
-    buf = y.symbols.copy()
+    buf = bytearray(y.symbols.data)
     kernel = _excise(buf, params, index, period)
-    step = RepairStep(index, period, Word._trusted(kernel, params.q))
-    return Word._trusted(buf, params.q), step
+    return _word(buf, params), RepairStep(index, period, _kernel(kernel, params))
 
 
 def inverse_repair(y: Word, params: LpaParams) -> Word:
@@ -298,9 +372,9 @@ def inverse_repair(y: Word, params: LpaParams) -> Word:
     _check_word(y, params.n + 1, params.q, "codeword")
     if y[-1] != 0:
         raise ValueError("inverse repair requires a word ending in 0")
-    buf = y.symbols.copy()
+    buf = bytearray(y.symbols.data)
     _restore(buf, params)
-    return Word._trusted(buf, params.q)
+    return _word(buf, params)
 
 
 def encode(x: Word, params: LpaParams) -> tuple[Word, EncodeTrace]:
@@ -309,7 +383,7 @@ def encode(x: Word, params: LpaParams) -> tuple[Word, EncodeTrace]:
     Returns the codeword of n + 1 symbols together with the trace of the
     repairs applied.  The states in between are what ``repair`` returns
     when called in a loop on the marked message; here they live in one
-    buffer, and each scan resumes l - 1 symbols before the window just
+    bytearray, and each scan resumes l - 1 symbols before the window just
     excised (see the module docstring).  Termination is guaranteed; the
     repair budget (``_repair_budget``) only trips on an implementation
     defect.
@@ -317,51 +391,61 @@ def encode(x: Word, params: LpaParams) -> tuple[Word, EncodeTrace]:
     _check_word(x, params.n, params.q, "message")
     buf = _marked(x)
     steps: list[RepairStep] = []
+    # steps are immutable, so the many equal steps of a long periodic
+    # stretch share one object (see the module docstring)
+    known: dict[tuple[int, bytes], RepairStep] = {}
     budget = _repair_budget(params)
     # Most messages need no repair, so the first probe is the whole word;
     # after a repair the next violation tends to lie close by.
-    start, size = 0, len(buf)
+    start, size = 0, params.n + 1
     while (violation := _scan(buf, params, start, size)) is not None:
         if len(steps) >= budget:
             raise AssertionError(_OVERRUN)
         index, period = violation.index, violation.least_period
         kernel = _excise(buf, params, index, period)
-        steps.append(RepairStep(index, period, Word._trusted(kernel, params.q)))
+        key = (index, bytes(kernel))  # bytes() of a bytes object copies nothing
+        step = known.get(key)
+        if step is None:
+            step = known[key] = RepairStep(index, period, _kernel(kernel, params))
+        steps.append(step)
         start, size = max(0, index - params.l + 1), 2 * params.l
-    return Word._trusted(buf, params.q), EncodeTrace(steps=tuple(steps))
+    return _word(buf, params), EncodeTrace(steps=tuple(steps))
 
 
 def decode(y: Word, params: LpaParams) -> Word:
     """Invert ``encode``: peel repair records until the marker 1 remains.
 
     A codeword that already ends in its marker is returned as a view of
-    its first n symbols, without a copy; any other is copied once and
-    restored in place.  A revisited state means ``y`` was never produced
-    by the encoder, so the walk raises CorruptCodewordError instead of
-    cycling forever.  The guard is Brent's cycle detection: it keeps one
-    saved state, replaced after 1, 2, 4, ... steps, instead of a copy of
-    every state, and still catches any cycle within a few times its
-    length plus its lead-in.  Comparing with the saved state costs O(n)
-    per step.
+    its first n symbols, without a copy; any other is copied once into a
+    bytearray and restored in place.  A revisited state means ``y`` was
+    never produced by the encoder, so the walk raises CorruptCodewordError
+    instead of cycling forever.  The guard is Brent's cycle detection: it
+    keeps one saved state, replaced after 1, 2, 4, ... steps, instead of a
+    copy of every state, and still catches any cycle within a few times
+    its length plus its lead-in.  Each step compares the state with the
+    saved one in place; the state is copied only when the saved one moves
+    and another step follows, so a codeword one record deep is copied once.
     """
     _check_word(y, params.n + 1, params.q, "codeword")
-    buf = y.symbols
-    if buf[-1] == 0:
-        buf = buf.copy()
-        saved, lap, steps = buf.tobytes(), 1, 0
-        while buf[-1] == 0:
+    arr = y.symbols
+    if arr[-1] == 0:
+        buf = bytearray(arr.data)
+        zero = bytes(arr.itemsize)
+        # the first saved state is the codeword itself, read-only already
+        saved, lap, steps = arr.data, 1, 0
+        while buf.endswith(zero):
+            if steps == lap:
+                saved, lap, steps = bytes(buf), 2 * lap, 0
             _restore(buf, params)
-            state = buf.tobytes()
-            if state == saved:
+            if buf == saved:
                 raise CorruptCodewordError("repair records form a cycle")
             steps += 1
-            if steps == lap:
-                saved, lap, steps = state, 2 * lap, 0
-    if buf[-1] != 1:
+        arr = np.frombuffer(buf, arr.dtype)
+    if arr[-1] != 1:
         raise CorruptCodewordError(
-            f"trailing marker must be 1, found {buf[-1]}"
+            f"trailing marker must be 1, found {arr[-1]}"
         )
-    return Word._trusted(buf[: params.n], params.q)
+    return Word._trusted(arr[: params.n], params.q)
 
 
 def _excise_rows(
@@ -489,6 +573,7 @@ def replay_trace(x: Word, params: LpaParams, trace: EncodeTrace) -> Word:
     """
     _check_word(x, params.n, params.q, "message")
     buf = _marked(x)
+    size = x.symbols.itemsize
     for step in trace.steps:
         if not 0 <= step.index <= params.n + 1 - params.l:
             raise ValueError(f"recorded window index {step.index} is out of range")
@@ -496,11 +581,11 @@ def replay_trace(x: Word, params: LpaParams, trace: EncodeTrace) -> Word:
             raise ValueError(
                 f"recorded period {step.least_period} is out of range"
             )
-        found = buf[step.index : step.index + step.least_period]
-        if Word._trusted(found, params.q) != step.kernel:
+        at = step.index * size
+        if _word(buf[at : at + step.least_period * size], params) != step.kernel:
             raise ValueError("recorded kernel does not match the state")
         _excise(buf, params, step.index, step.least_period)
-    return Word._trusted(buf, params.q)
+    return _word(buf, params)
 
 
 @dataclass(frozen=True)

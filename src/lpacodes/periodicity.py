@@ -58,6 +58,18 @@ __all__ = [
 ]
 
 
+def _check_alphabet(q: int) -> None:
+    """The q >= 2 check of every entry point that takes an alphabet size."""
+    if q < 2:
+        raise ValueError(f"alphabet size must be at least 2, got {q}")
+
+
+def _check_run_length(k: int) -> None:
+    """The k >= 1 check of every entry point that takes a zero-run length."""
+    if k < 1:
+        raise ValueError(f"run length must be at least 1, got {k}")
+
+
 def _dtype_for(q: int):
     if q <= 256:
         return np.uint8
@@ -79,8 +91,7 @@ class Word:
     __slots__ = ("_symbols", "_q", "_hash")
 
     def __init__(self, symbols, q: int):
-        if q < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {q}")
+        _check_alphabet(q)
         if isinstance(symbols, str):
             symbols = _parse_symbol_text(symbols, q)
         elif not isinstance(symbols, (np.ndarray, list, tuple)):
@@ -364,8 +375,7 @@ def is_lpa(w: Word, l: int, p: int) -> bool:
 
 def is_rll(w: Word, k: int) -> bool:
     """True iff ``w`` contains no run of ``k`` consecutive zero symbols."""
-    if k < 1:
-        raise ValueError(f"run length must be at least 1, got {k}")
+    _check_run_length(k)
     return _leftmost_run(w.symbols == 0, k) < 0
 
 

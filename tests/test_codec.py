@@ -410,6 +410,34 @@ def test_engine_matches_oracle_on_adversarial_families(q, n, p):
         assert decode(y, params) == naive_decode(y, params) == x, name
 
 
+@pytest.mark.parametrize("q,n,p", [(300, 2000, 4), (70000, 500, 4)])
+def test_wide_alphabets_match_the_oracle(q, n, p):
+    # uint16 and int64 symbols, two and eight bytes each in the codec's
+    # state; at q = 300 the 001... message logs index digits above 255
+    params = derive_params(q, n, p)
+    idx = np.arange(n)
+    messages = {
+        "zeros": np.zeros(n, dtype=np.int64),
+        "0101": idx % 2,
+        "001": (idx % 3 == 2).astype(np.int64),
+        "top": np.full(n, q - 1),
+    }
+    for name, arr in messages.items():
+        x = Word(arr, q)
+        y, trace = encode(x, params)
+        assert trace.steps, name
+        assert (y, _steps(trace)) == naive_encode(x, params), name
+        assert decode(y, params) == x, name
+    # the first index digit of the last record set to q - 1 points past
+    # the last window start
+    bad = y.symbols.copy()
+    bad[-params.index_width - 1] = q - 1
+    corrupt = Word(bad, q)
+    expected = _outcome(naive_decode, corrupt, params)
+    assert expected[0] is CorruptCodewordError
+    assert _outcome(decode, corrupt, params) == expected
+
+
 def test_resumed_scan_reads_every_window_from_its_start():
     # one zero run planted at every position of a clean word puts the first
     # violation next to every probe boundary in turn; the probes must find
