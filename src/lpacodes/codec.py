@@ -15,20 +15,21 @@ digits can address every window start, n <= q**(l - p - 1) + l - 2.
 ``encode``, ``decode``, ``repair``, ``inverse_repair`` and ``replay_trace``
 hold their state in one ``bytearray`` of raw symbol bytes (one symbol is
 ``itemsize`` bytes of the words' dtype, so every offset scales by it) and
-change it in place.  ``_excise`` and ``_restore`` are the two directions
-of the record format, written once.  An excision deletes the window's
-bytes, one memmove of the tail, and appends the record; CPython deletes
-from the front of a bytearray by moving its start, so an excision at
-index 0 copies nothing.  A restore deletes the record from the end and
-inserts the rebuilt window at its index, one memmove of the tail the
-other way.  Each window probe is a numpy view of the bytearray that lives
-only for its call, since a bytearray with a view on it cannot resize.
-The record's separator blocks and struct formats are built at the first
-repair under a parameter set and kept with it, so a clean message pays
-for none of them.  A message needs many repairs only where a long
-stretch of it has a short period, which is excised window by window from
-one index; such steps reuse that index's digits (``LpaParams._fields``)
-and, within one ``encode``, its trace entry.
+change it in place.  ``_record`` writes a record and ``_restore`` reads
+one back: the record format, written once in each direction.
+``_excise`` deletes the window's bytes, one memmove of the tail, and
+appends its record; CPython deletes from the front of a bytearray by
+moving its start, so an excision at index 0 copies nothing.  A restore
+deletes the record from the end and inserts the rebuilt window at its
+index, one memmove of the tail the other way.  Each window probe is a
+numpy view of the bytearray that lives only for its call, since a
+bytearray with a view on it cannot resize.  The record's separator
+blocks and struct formats are immutable tables built at the first repair
+under a parameter set, so a clean message pays for none of them.  A
+message needs many repairs only where a long stretch of it has a short
+period, which is excised window by window from one index; ``encode``
+keeps one memo per call, from index and kernel to trace entry and
+record, so such steps build each once.
 
 The first scan reads the whole word, since most messages need no
 repair.  After a repair at window ``i``, the symbols before ``i`` are
@@ -157,14 +158,6 @@ class LpaParams:
         )
         return separators, f"@{self.index_width + 1}{char}", f"@{self.l}{char}"
 
-    @cached_property
-    def _fields(self) -> dict[int, bytes]:
-        """Index fields of recent records by index: the index digits and the
-        trailing 0, as raw symbol bytes.  Repairs of a long periodic stretch
-        repeat one index, so few fields recur; ``_excise`` empties the map
-        when it reaches ``_FIELDS_KEPT`` entries, which bounds its memory."""
-        return {}
-
 
 def _check_alphabet_and_target(q: int, p: int) -> None:
     """The q >= 2, p >= 2 check of LpaParams, derive_params and plan."""
@@ -208,41 +201,35 @@ class EncodeTrace:
     steps: tuple[RepairStep, ...]
 
 
-_FIELDS_KEPT = 1024
-
-
-def _excise(buf: bytearray, params: LpaParams, index: int, period: int) -> bytes:
-    """Excise the window at ``index`` from the state ``buf`` in place and
-    append its repair record; returns the bytes of the window's kernel.
-    The index digit of place value w is index // w % q, w from
-    ``params._place_values``."""
-    size = params._dtype.itemsize
+def _record(params: LpaParams, index: int, period: int, kernel: bytes) -> bytes:
+    """The repair record, in raw symbol bytes, of the window at ``index``
+    whose least period ``period`` has the kernel bytes ``kernel``: the
+    kernel, its separator block, the index digits and the trailing 0.  The
+    index digit of place value w is index // w % q, w from
+    ``params._place_values``.  ``_restore`` is the one reader."""
     separators, tail, _ = params._record_format
-    at = index * size
-    kernel = bytes(buf[at : at + period * size])
-    del buf[at : at + params.l * size]
-    buf += kernel
-    buf += separators[period]
-    fields = params._fields
-    field = fields.get(index)
-    if field is None:
-        if len(fields) >= _FIELDS_KEPT:
-            fields.clear()
-        q = params.q
-        digits = [index // w % q for w in params._place_values]
-        field = fields[index] = struct.pack(tail, *digits, 0)
-    buf += field
-    return kernel
+    q = params.q
+    digits = [index // w % q for w in params._place_values]
+    return kernel + separators[period] + struct.pack(tail, *digits, 0)
+
+
+def _excise(buf: bytearray, params: LpaParams, index: int, record: bytes) -> None:
+    """Delete the window at ``index`` from the state ``buf`` in place and
+    append ``record``, the window's record from ``_record``, which is one
+    window long."""
+    at = index * params._dtype.itemsize
+    del buf[at : at + len(record)]
+    buf += record
 
 
 def _restore(buf: bytearray, params: LpaParams) -> None:
     """Undo, in place, the repair record that fills the last l symbols of
     the state ``buf``; the caller has checked that ``buf`` ends in 0.  The
-    index is read by Horner's rule, uncapped, where ``_excise`` wrote its
+    index is read by Horner's rule, uncapped, where ``_record`` wrote its
     digits from ``params._place_values``.
 
     Raises CorruptCodewordError when the record cannot have been produced
-    by ``_excise``: index out of range, an all-zero kernel block, or a
+    by ``_record``: index out of range, an all-zero kernel block, or a
     kernel separator other than 1.
     """
     l, p, q, size = params.l, params.p, params.q, params._dtype.itemsize
@@ -291,8 +278,8 @@ def _word(buf: bytes | bytearray, params: LpaParams) -> Word:
 
 
 def _kernel(kernel: bytes, params: LpaParams) -> Word:
-    """The kernel word of a trace entry, from the bytes ``_excise``
-    returned; it owns its symbols."""
+    """The kernel word of a trace entry, from its bytes in the state; it
+    owns its symbols."""
     return Word._trusted(np.frombuffer(kernel, params._dtype).copy(), params.q)
 
 
@@ -319,10 +306,11 @@ def _scan(
     some probe and the leftmost offender of the first probe that finds one
     is the leftmost overall.  A probe that would leave fewer than 16l
     symbols takes them too: one call costs about as much as scanning
-    thousands of symbols, so a short word, such as a segment, gets one
-    probe.  Each probe goes through the name ``first_violation``, so a
-    wrapper bound to it sees every symbol scanned.  A probe is a view of
-    ``buf`` that no one holds once the call returns.
+    thousands of symbols, so a few more symbols in the last probe are
+    cheaper than another call.  Each probe goes through the name
+    ``first_violation``, so a wrapper bound to it sees every symbol
+    scanned.  A probe is a view of ``buf`` that no one holds once the call
+    returns.
     """
     l, q, dtype = params.l, params.q, params._dtype
     total = len(buf) // dtype.itemsize
@@ -358,7 +346,9 @@ def repair(y: Word, params: LpaParams) -> tuple[Word, RepairStep]:
         raise ValueError("word has no offending window; nothing to repair")
     index, period = violation.index, violation.least_period
     buf = bytearray(y.symbols.data)
-    kernel = _excise(buf, params, index, period)
+    size = params._dtype.itemsize
+    kernel = bytes(buf[index * size : (index + period) * size])
+    _excise(buf, params, index, _record(params, index, period, kernel))
     return _word(buf, params), RepairStep(index, period, _kernel(kernel, params))
 
 
@@ -384,16 +374,17 @@ def encode(x: Word, params: LpaParams) -> tuple[Word, EncodeTrace]:
     repairs applied.  The states in between are what ``repair`` returns
     when called in a loop on the marked message; here they live in one
     bytearray, and each scan resumes l - 1 symbols before the window just
-    excised (see the module docstring).  Termination is guaranteed; the
-    repair budget (``_repair_budget``) only trips on an implementation
-    defect.
+    excised (see the module docstring).  The call's one memo maps an
+    excision's index and kernel bytes to its step and record, so the many
+    equal steps of a long periodic stretch share both.  Termination is
+    guaranteed; the repair budget (``_repair_budget``) only trips on an
+    implementation defect.
     """
     _check_word(x, params.n, params.q, "message")
     buf = _marked(x)
+    itemsize = params._dtype.itemsize
     steps: list[RepairStep] = []
-    # steps are immutable, so the many equal steps of a long periodic
-    # stretch share one object (see the module docstring)
-    known: dict[tuple[int, bytes], RepairStep] = {}
+    known: dict[tuple[int, bytes], tuple[RepairStep, bytes]] = {}
     budget = _repair_budget(params)
     # Most messages need no repair, so the first probe is the whole word;
     # after a repair the next violation tends to lie close by.
@@ -402,11 +393,15 @@ def encode(x: Word, params: LpaParams) -> tuple[Word, EncodeTrace]:
         if len(steps) >= budget:
             raise AssertionError(_OVERRUN)
         index, period = violation.index, violation.least_period
-        kernel = _excise(buf, params, index, period)
-        key = (index, bytes(kernel))  # bytes() of a bytes object copies nothing
-        step = known.get(key)
-        if step is None:
-            step = known[key] = RepairStep(index, period, _kernel(kernel, params))
+        kernel = bytes(buf[index * itemsize : (index + period) * itemsize])
+        hit = known.get((index, kernel))
+        if hit is None:
+            hit = known[index, kernel] = (
+                RepairStep(index, period, _kernel(kernel, params)),
+                _record(params, index, period, kernel),
+            )
+        step, record = hit
+        _excise(buf, params, index, record)
         steps.append(step)
         start, size = max(0, index - params.l + 1), 2 * params.l
     return _word(buf, params), EncodeTrace(steps=tuple(steps))
@@ -451,10 +446,11 @@ def decode(y: Word, params: LpaParams) -> Word:
 def _excise_rows(
     state: np.ndarray, params: LpaParams, index: np.ndarray, period: np.ndarray
 ) -> np.ndarray:
-    """``_excise`` on every row of the 2-D ``state`` at once, the window of
-    row r at ``index[r]`` with least period ``period[r]``; returns the new
-    states as a new array.  The tails move left by one masked select; the
-    index digits come from ``params._place_values``, capped at the row length."""
+    """``_record`` and ``_excise`` on every row of the 2-D ``state`` at once,
+    the window of row r at ``index[r]`` with least period ``period[r]``;
+    returns the new states as a new array.  The tails move left by one
+    masked select; the index digits come from ``params._place_values``,
+    capped at the row length."""
     rows, total = state.shape
     l, p, q = params.l, params.p, params.q
     start = total - l
@@ -582,9 +578,11 @@ def replay_trace(x: Word, params: LpaParams, trace: EncodeTrace) -> Word:
                 f"recorded period {step.least_period} is out of range"
             )
         at = step.index * size
-        if _word(buf[at : at + step.least_period * size], params) != step.kernel:
+        kernel = bytes(buf[at : at + step.least_period * size])
+        if _word(kernel, params) != step.kernel:
             raise ValueError("recorded kernel does not match the state")
-        _excise(buf, params, step.index, step.least_period)
+        record = _record(params, step.index, step.least_period, kernel)
+        _excise(buf, params, step.index, record)
     return _word(buf, params)
 
 

@@ -428,6 +428,12 @@ def test_wide_alphabets_match_the_oracle(q, n, p):
         assert trace.steps, name
         assert (y, _steps(trace)) == naive_encode(x, params), name
         assert decode(y, params) == x, name
+        assert replay_trace(x, params, trace) == y, name
+        w = Word(np.append(arr, 1), q)
+        for expected in trace.steps:
+            w, step = repair(w, params)
+            assert step == expected, name
+        assert w == y, name
     # the first index digit of the last record set to q - 1 points past
     # the last window start
     bad = y.symbols.copy()
@@ -436,6 +442,19 @@ def test_wide_alphabets_match_the_oracle(q, n, p):
     expected = _outcome(naive_decode, corrupt, params)
     assert expected[0] is CorruptCodewordError
     assert _outcome(decode, corrupt, params) == expected
+
+
+def test_parameters_hold_no_state():
+    # a parameter set holds only its four fields and immutable tables
+    # derived from them, however much codec work has run under it
+    params = derive_params(2, 2000, 4)
+    x = Word("0" * 2000, 2)
+    y, trace = encode(x, params)
+    assert decode(y, params) == x
+    assert repair(Word(np.append(x.symbols, 1), 2), params)[1] == trace.steps[0]
+    assert replay_trace(x, params, trace) == y
+    for name, value in vars(params).items():
+        assert isinstance(value, (int, str, tuple, np.dtype)), name
 
 
 def test_resumed_scan_reads_every_window_from_its_start():
@@ -513,9 +532,9 @@ def test_repair_loops_stop_at_their_budget(monkeypatch, batched):
     # so the loop runs into its budget of q**4 * (n + 1) = 240 repairs
     calls = []
 
-    def keep_word(state, params, index, period):
+    def keep_word(state, params, index, record):
         calls.append(index)
-        return state.copy() if batched else state[index : index + period].copy()
+        return state.copy() if batched else None
 
     monkeypatch.setattr(codec, "_excise_rows" if batched else "_excise", keep_word)
     with pytest.raises(AssertionError, match="exceeded its safety budget"):
