@@ -13,23 +13,13 @@ marker ``1`` reappears at the end.
 digits can address every window start, n <= q**(l - p - 1) + l - 2.
 
 ``encode``, ``decode``, ``repair``, ``inverse_repair`` and ``replay_trace``
-hold their state in one ``bytearray`` of raw symbol bytes (one symbol is
-``itemsize`` bytes of the words' dtype, so every offset scales by it) and
-change it in place.  ``_record`` writes a record and ``_restore`` reads
-one back: the record format, written once in each direction.
-``_excise`` deletes the window's bytes, one memmove of the tail, and
-appends its record; CPython deletes from the front of a bytearray by
-moving its start, so an excision at index 0 copies nothing.  A restore
-deletes the record from the end and inserts the rebuilt window at its
-index, one memmove of the tail the other way.  Each window probe is a
-numpy view of the bytearray that lives only for its call, since a
-bytearray with a view on it cannot resize.  The record's separator
-blocks and struct formats are immutable tables built at the first repair
-under a parameter set, so a clean message pays for none of them.  A
-message needs many repairs only where a long stretch of it has a short
-period, which is excised window by window from one index; ``encode``
-keeps one memo per call, from index and kernel to trace entry and
-record, so such steps build each once.
+each change one ``_State`` in place: the word under repair, in raw symbol
+bytes, with its scan, excise and restore steps.  No other code knows the
+byte layout.  ``_record`` writes a record and ``_State.restore`` reads
+one back: the record format, written once in each direction.  The
+record's separator blocks and struct formats are immutable tables built
+at the first repair under a parameter set, so a clean message pays for
+none of them.
 
 The first scan reads the whole word, since most messages need no
 repair.  After a repair at window ``i``, the symbols before ``i`` are
@@ -206,82 +196,151 @@ def _record(params: LpaParams, index: int, period: int, kernel: bytes) -> bytes:
     whose least period ``period`` has the kernel bytes ``kernel``: the
     kernel, its separator block, the index digits and the trailing 0.  The
     index digit of place value w is index // w % q, w from
-    ``params._place_values``.  ``_restore`` is the one reader."""
+    ``params._place_values``.  ``_State.restore`` is the one reader."""
     separators, tail, _ = params._record_format
     q = params.q
     digits = [index // w % q for w in params._place_values]
     return kernel + separators[period] + struct.pack(tail, *digits, 0)
 
 
-def _excise(buf: bytearray, params: LpaParams, index: int, record: bytes) -> None:
-    """Delete the window at ``index`` from the state ``buf`` in place and
-    append ``record``, the window's record from ``_record``, which is one
-    window long."""
-    at = index * params._dtype.itemsize
-    del buf[at : at + len(record)]
-    buf += record
+class _State:
+    """The word under repair, in raw symbol bytes: the one code that knows
+    their layout.  Its methods take and give offsets in symbols.
 
+    ``buf`` holds the state's symbols, ``width`` bytes each in the dtype of
+    ``params``.  ``excise`` deletes a window's bytes, one memmove of the
+    tail, and appends its record from ``_record``; CPython deletes from the
+    front of a bytearray by moving its start, so an excision at index 0
+    copies nothing.  ``restore`` deletes the last record and inserts the
+    rebuilt window at its index, one memmove of the tail the other way.
 
-def _restore(buf: bytearray, params: LpaParams) -> None:
-    """Undo, in place, the repair record that fills the last l symbols of
-    the state ``buf``; the caller has checked that ``buf`` ends in 0.  The
-    index is read by Horner's rule, uncapped, where ``_record`` wrote its
-    digits from ``params._place_values``.
+    A state lives for one call, and so does its memo, from an excision's
+    index and kernel bytes to its step and record: a long periodic stretch
+    is excised window by window from one index, and its equal steps share
+    one step object and one record.
 
-    Raises CorruptCodewordError when the record cannot have been produced
-    by ``_record``: index out of range, an all-zero kernel block, or a
-    kernel separator other than 1.
+    A bytearray with a view on it cannot resize, so no view of ``buf`` may
+    outlive the next edit: each probe of ``scan`` lives only for its call,
+    and ``word()`` is taken once the edits are done.
     """
-    l, p, q, size = params.l, params.p, params.q, params._dtype.itemsize
-    end = len(buf) - l * size
-    record = struct.unpack_from(params._record_format[2], buf, end)
-    index = 0
-    for digit in record[p:-1]:
-        index = index * q + digit
-    if index > end // size:
-        raise CorruptCodewordError(
-            f"window index {index} exceeds the last window start {end // size}"
-        )
 
-    block = record[:p]
-    period = None
-    for pos in range(p - 1, -1, -1):
-        if block[pos] != 0:
-            period = pos
-            break
-    if period is None:
-        raise CorruptCodewordError("kernel block is all zero")
-    if block[period] != 1:
-        raise CorruptCodewordError(
-            f"kernel separator must be 1, found {block[period]}"
-        )
-    if period < 1:
-        raise CorruptCodewordError("kernel block encodes an impossible period 0")
+    __slots__ = ("buf", "params", "width", "known")
 
-    kernel = buf[end : end + period * size]
-    del buf[end:]
-    at = index * size
-    buf[at:at] = (kernel * -(-l // period))[: l * size]
+    def __init__(
+        self, symbols: np.ndarray, params: LpaParams, marker: int | None = None
+    ):
+        """The state of ``symbols``, a word's array in the dtype of
+        ``params``, followed by ``marker`` when one is given."""
+        self.buf = bytearray(symbols.data)
+        self.params = params
+        self.width = params._dtype.itemsize
+        self.known: dict[tuple[int, bytes], tuple[RepairStep, bytes]] = {}
+        if marker is not None:
+            self.buf += marker.to_bytes(self.width, sys.byteorder)
 
+    def scan(self, start: int, size: int) -> WindowViolation | None:
+        """First offending window that starts at ``start`` or later, or None.
 
-def _marked(x: Word) -> bytearray:
-    """The state of a message: its symbol bytes followed by the marker 1."""
-    buf = bytearray(x.symbols.data)
-    buf += (1).to_bytes(x.symbols.itemsize, sys.byteorder)
-    return buf
+        Probes slices of ``size``, 2 * size, 4 * size, ... symbols, each
+        overlapping the one before by l - 1, so every window lies whole in
+        some probe and the leftmost offender of the first probe that finds
+        one is the leftmost overall.  A probe that would leave fewer than 16l
+        symbols takes them too: one call costs about as much as scanning
+        thousands of symbols, so a few more symbols in the last probe are
+        cheaper than another call.  Each probe goes through the name
+        ``first_violation``, so a wrapper bound to it sees every symbol
+        scanned.
+        """
+        buf, width, params = self.buf, self.width, self.params
+        l, q, dtype = params.l, params.q, params._dtype
+        total = len(buf) // width
+        while True:
+            stop = start + size
+            if stop > total - 16 * l:
+                stop = total
+            found = first_violation(
+                Word._trusted(np.frombuffer(buf, dtype, stop - start, start * width), q),
+                l,
+                params.p,
+            )
+            if found is not None:
+                if start == 0:  # the probe's offsets are the word's
+                    return found
+                return WindowViolation(start + found.index, found.least_period)
+            if stop == total:
+                return None
+            start, size = stop - l + 1, 2 * size
 
+    def excise(self, index: int, period: int) -> RepairStep:
+        """Delete the window at ``index``, whose least period is ``period``,
+        and append its record, which is one window long; returns the step.
+        The kernel word of a new step owns its symbols."""
+        buf, width, known = self.buf, self.width, self.known
+        at = index * width
+        kernel = bytes(buf[at : at + period * width])
+        hit = known.get((index, kernel))
+        if hit is None:
+            params = self.params
+            hit = known[index, kernel] = (
+                RepairStep(
+                    index,
+                    period,
+                    Word._trusted(np.frombuffer(kernel, params._dtype).copy(), params.q),
+                ),
+                _record(params, index, period, kernel),
+            )
+        step, record = hit
+        del buf[at : at + len(record)]
+        buf += record
+        return step
 
-def _word(buf: bytes | bytearray, params: LpaParams) -> Word:
-    """The word whose raw symbol bytes are ``buf``, a read-only view of it;
-    a bytearray must not be resized again while the word lives."""
-    return Word._trusted(np.frombuffer(buf, params._dtype), params.q)
+    def restore(self) -> bool:
+        """Undo the repair record that fills the last l symbols; the caller
+        has checked that the state ends in 0.  Returns whether it ends in 0
+        again, so that another record follows.  The index is read by
+        Horner's rule, uncapped, where ``_record`` wrote its digits from
+        ``params._place_values``.
 
+        Raises CorruptCodewordError when the record cannot have been produced
+        by ``_record``: index out of range, an all-zero kernel block, or a
+        kernel separator other than 1.
+        """
+        buf, width, params = self.buf, self.width, self.params
+        l, p, q = params.l, params.p, params.q
+        end = len(buf) - l * width
+        record = struct.unpack_from(params._record_format[2], buf, end)
+        index = 0
+        for digit in record[p:-1]:
+            index = index * q + digit
+        if index > end // width:
+            raise CorruptCodewordError(
+                f"window index {index} exceeds the last window start {end // width}"
+            )
 
-def _kernel(kernel: bytes, params: LpaParams) -> Word:
-    """The kernel word of a trace entry, from its bytes in the state; it
-    owns its symbols."""
-    return Word._trusted(np.frombuffer(kernel, params._dtype).copy(), params.q)
+        block = record[:p]
+        period = None
+        for pos in range(p - 1, -1, -1):
+            if block[pos] != 0:
+                period = pos
+                break
+        if period is None:
+            raise CorruptCodewordError("kernel block is all zero")
+        if block[period] != 1:
+            raise CorruptCodewordError(
+                f"kernel separator must be 1, found {block[period]}"
+            )
+        if period < 1:
+            raise CorruptCodewordError("kernel block encodes an impossible period 0")
 
+        kernel = buf[end : end + period * width]
+        del buf[end:]
+        at = index * width
+        buf[at:at] = (kernel * -(-l // period))[: l * width]
+        return buf.endswith(bytes(width))
+
+    def word(self) -> Word:
+        """The state as a word, a read-only view of ``buf``."""
+        return Word._trusted(np.frombuffer(self.buf, self.params._dtype), self.params.q)
 
 def _repair_budget(params: LpaParams) -> int:
     """Repairs after which ``encode`` and ``_encode_rows`` give up with
@@ -295,45 +354,6 @@ _OVERRUN = (
 )
 
 
-def _scan(
-    buf: bytearray, params: LpaParams, start: int, size: int
-) -> WindowViolation | None:
-    """First offending window of the state ``buf`` that starts at ``start``
-    or later, or None.
-
-    Probes slices of ``size``, 2 * size, 4 * size, ... symbols, each
-    overlapping the one before by l - 1, so every window lies whole in
-    some probe and the leftmost offender of the first probe that finds one
-    is the leftmost overall.  A probe that would leave fewer than 16l
-    symbols takes them too: one call costs about as much as scanning
-    thousands of symbols, so a few more symbols in the last probe are
-    cheaper than another call.  Each probe goes through the name
-    ``first_violation``, so a wrapper bound to it sees every symbol
-    scanned.  A probe is a view of ``buf`` that no one holds once the call
-    returns.
-    """
-    l, q, dtype = params.l, params.q, params._dtype
-    total = len(buf) // dtype.itemsize
-    while True:
-        stop = start + size
-        if stop > total - 16 * l:
-            stop = total
-        found = first_violation(
-            Word._trusted(
-                np.frombuffer(buf, dtype, stop - start, start * dtype.itemsize), q
-            ),
-            l,
-            params.p,
-        )
-        if found is not None:
-            if start == 0:  # the probe's offsets are the word's
-                return found
-            return WindowViolation(start + found.index, found.least_period)
-        if stop == total:
-            return None
-        start, size = stop - l + 1, 2 * size
-
-
 def repair(y: Word, params: LpaParams) -> tuple[Word, RepairStep]:
     """Remove the first offending window of ``y`` and log it at the end.
 
@@ -341,15 +361,12 @@ def repair(y: Word, params: LpaParams) -> tuple[Word, RepairStep]:
     below p; the output has the same length and always ends in 0.
     """
     _check_word(y, params.n + 1, params.q, "codeword")
-    violation = first_violation(y, params.l, params.p)
+    state = _State(y.symbols, params)
+    violation = state.scan(0, params.n + 1)
     if violation is None:
         raise ValueError("word has no offending window; nothing to repair")
-    index, period = violation.index, violation.least_period
-    buf = bytearray(y.symbols.data)
-    size = params._dtype.itemsize
-    kernel = bytes(buf[index * size : (index + period) * size])
-    _excise(buf, params, index, _record(params, index, period, kernel))
-    return _word(buf, params), RepairStep(index, period, _kernel(kernel, params))
+    step = state.excise(violation.index, violation.least_period)
+    return state.word(), step
 
 
 def inverse_repair(y: Word, params: LpaParams) -> Word:
@@ -362,9 +379,9 @@ def inverse_repair(y: Word, params: LpaParams) -> Word:
     _check_word(y, params.n + 1, params.q, "codeword")
     if y[-1] != 0:
         raise ValueError("inverse repair requires a word ending in 0")
-    buf = bytearray(y.symbols.data)
-    _restore(buf, params)
-    return _word(buf, params)
+    state = _State(y.symbols, params)
+    state.restore()
+    return state.word()
 
 
 def encode(x: Word, params: LpaParams) -> tuple[Word, EncodeTrace]:
@@ -373,38 +390,25 @@ def encode(x: Word, params: LpaParams) -> tuple[Word, EncodeTrace]:
     Returns the codeword of n + 1 symbols together with the trace of the
     repairs applied.  The states in between are what ``repair`` returns
     when called in a loop on the marked message; here they live in one
-    bytearray, and each scan resumes l - 1 symbols before the window just
-    excised (see the module docstring).  The call's one memo maps an
-    excision's index and kernel bytes to its step and record, so the many
-    equal steps of a long periodic stretch share both.  Termination is
+    ``_State``, and each scan resumes l - 1 symbols before the window just
+    excised (see the module docstring).  Equal steps of a long periodic
+    stretch are one object, from the state's memo.  Termination is
     guaranteed; the repair budget (``_repair_budget``) only trips on an
     implementation defect.
     """
     _check_word(x, params.n, params.q, "message")
-    buf = _marked(x)
-    itemsize = params._dtype.itemsize
+    state = _State(x.symbols, params, marker=1)
     steps: list[RepairStep] = []
-    known: dict[tuple[int, bytes], tuple[RepairStep, bytes]] = {}
     budget = _repair_budget(params)
     # Most messages need no repair, so the first probe is the whole word;
     # after a repair the next violation tends to lie close by.
     start, size = 0, params.n + 1
-    while (violation := _scan(buf, params, start, size)) is not None:
+    while (violation := state.scan(start, size)) is not None:
         if len(steps) >= budget:
             raise AssertionError(_OVERRUN)
-        index, period = violation.index, violation.least_period
-        kernel = bytes(buf[index * itemsize : (index + period) * itemsize])
-        hit = known.get((index, kernel))
-        if hit is None:
-            hit = known[index, kernel] = (
-                RepairStep(index, period, _kernel(kernel, params)),
-                _record(params, index, period, kernel),
-            )
-        step, record = hit
-        _excise(buf, params, index, record)
-        steps.append(step)
-        start, size = max(0, index - params.l + 1), 2 * params.l
-    return _word(buf, params), EncodeTrace(steps=tuple(steps))
+        steps.append(state.excise(violation.index, violation.least_period))
+        start, size = max(0, violation.index - params.l + 1), 2 * params.l
+    return state.word(), EncodeTrace(steps=tuple(steps))
 
 
 def decode(y: Word, params: LpaParams) -> Word:
@@ -412,7 +416,7 @@ def decode(y: Word, params: LpaParams) -> Word:
 
     A codeword that already ends in its marker is returned as a view of
     its first n symbols, without a copy; any other is copied once into a
-    bytearray and restored in place.  A revisited state means ``y`` was
+    ``_State`` and restored in place.  A revisited state means ``y`` was
     never produced by the encoder, so the walk raises CorruptCodewordError
     instead of cycling forever.  The guard is Brent's cycle detection: it
     keeps one saved state, replaced after 1, 2, 4, ... steps, instead of a
@@ -424,18 +428,17 @@ def decode(y: Word, params: LpaParams) -> Word:
     _check_word(y, params.n + 1, params.q, "codeword")
     arr = y.symbols
     if arr[-1] == 0:
-        buf = bytearray(arr.data)
-        zero = bytes(arr.itemsize)
+        state = _State(arr, params)
         # the first saved state is the codeword itself, read-only already
-        saved, lap, steps = arr.data, 1, 0
-        while buf.endswith(zero):
+        saved, lap, steps, more = arr.data, 1, 0, True
+        while more:
             if steps == lap:
-                saved, lap, steps = bytes(buf), 2 * lap, 0
-            _restore(buf, params)
-            if buf == saved:
+                saved, lap, steps = bytes(state.buf), 2 * lap, 0
+            more = state.restore()
+            if state.buf == saved:
                 raise CorruptCodewordError("repair records form a cycle")
             steps += 1
-        arr = np.frombuffer(buf, arr.dtype)
+        arr = state.word().symbols
     if arr[-1] != 1:
         raise CorruptCodewordError(
             f"trailing marker must be 1, found {arr[-1]}"
@@ -446,11 +449,11 @@ def decode(y: Word, params: LpaParams) -> Word:
 def _excise_rows(
     state: np.ndarray, params: LpaParams, index: np.ndarray, period: np.ndarray
 ) -> np.ndarray:
-    """``_record`` and ``_excise`` on every row of the 2-D ``state`` at once,
-    the window of row r at ``index[r]`` with least period ``period[r]``;
-    returns the new states as a new array.  The tails move left by one
-    masked select; the index digits come from ``params._place_values``,
-    capped at the row length."""
+    """``_State.excise`` on every row of the 2-D ``state`` at once, the
+    window of row r at ``index[r]`` with least period ``period[r]``; returns
+    the new states as a new array.  The tails move left by one masked
+    select; the index digits come from ``params._place_values``, capped at
+    the row length."""
     rows, total = state.shape
     l, p, q = params.l, params.p, params.q
     start = total - l
@@ -468,10 +471,10 @@ def _excise_rows(
 
 
 def _restore_rows(state: np.ndarray, params: LpaParams) -> tuple[np.ndarray, np.ndarray]:
-    """``_restore`` on every row of the 2-D ``state`` at once; returns the
-    new states as a new array and which rows were sound: those that end in
-    the step marker 0 and whose record passes ``_restore``'s checks.  The
-    other rows of the result are meaningless.  The index is read with
+    """``_State.restore`` on every row of the 2-D ``state`` at once; returns
+    the new states as a new array and which rows were sound: those that end
+    in the step marker 0 and whose record passes its checks.  The other
+    rows of the result are meaningless.  The index is read with
     ``params._place_values``, split at the last window start."""
     rows, total = state.shape
     l, p = params.l, params.p
@@ -564,26 +567,39 @@ def _decode_rows(codewords: np.ndarray, params: LpaParams) -> np.ndarray:
 def replay_trace(x: Word, params: LpaParams, trace: EncodeTrace) -> Word:
     """Re-apply a recorded repair sequence to ``x``; returns the codeword.
 
-    Each step is validated against the evolving state, so a trace that was
-    not produced on ``x`` fails loudly rather than rebuilding nonsense.
+    Accepts exactly the trace ``encode`` produces on ``x``: each step must
+    repair the window the encoder repairs next, found by the encoder's own
+    resumed scan, with the kernel found there, and the state after the last
+    step must be clean.  Any other trace raises ValueError, naming the step
+    and the encoder's choice, rather than rebuilding a word ``encode``
+    never returns.
     """
     _check_word(x, params.n, params.q, "message")
-    buf = _marked(x)
-    size = x.symbols.itemsize
-    for step in trace.steps:
+    state = _State(x.symbols, params, marker=1)
+    start, size = 0, params.n + 1
+    for number, step in enumerate(trace.steps):
         if not 0 <= step.index <= params.n + 1 - params.l:
             raise ValueError(f"recorded window index {step.index} is out of range")
         if not 1 <= step.least_period < params.p:
             raise ValueError(
                 f"recorded period {step.least_period} is out of range"
             )
-        at = step.index * size
-        kernel = bytes(buf[at : at + step.least_period * size])
-        if _word(kernel, params) != step.kernel:
+        choice = state.scan(start, size)
+        if choice != WindowViolation(step.index, step.least_period):
+            raise ValueError(f"trace step {number}: {_next_repair(choice)}")
+        if state.excise(step.index, step.least_period).kernel != step.kernel:
             raise ValueError("recorded kernel does not match the state")
-        record = _record(params, step.index, step.least_period, kernel)
-        _excise(buf, params, step.index, record)
-    return _word(buf, params)
+        start, size = max(0, step.index - params.l + 1), 2 * params.l
+    if (choice := state.scan(start, size)) is not None:
+        raise ValueError(f"trace has no step {len(trace.steps)}: {_next_repair(choice)}")
+    return state.word()
+
+
+def _next_repair(choice: WindowViolation | None) -> str:
+    """What the encoder does next, given its scan's result ``choice``."""
+    if choice is None:
+        return "the encoder stops, as no window offends"
+    return f"the encoder repairs window {choice.index} with period {choice.least_period}"
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from lpacodes.codec import (
     RepairStep,
     _decode_rows,
     _encode_rows,
-    _scan,
+    _State,
     decode,
     derive_params,
     encode,
@@ -196,14 +196,24 @@ def test_malformed_records_rejected_like_the_oracle(qnp, text):
     assert _outcome(decode, word, params) == _outcome(naive_decode, word, params)
 
 
-@pytest.mark.parametrize(
-    "text", ["111111010101010", "000001001101000", "000011001100100", "010011001110000"]
-)
-def test_cycles_rejected_like_the_oracle(ex_params, text):
-    word = Word(text, 2)
+# the cycles at (2, 14, 4), then one word that cycles at l = 6 with uint16
+# and with int64 symbols
+CYCLES = [
+    pytest.param(2, 14, 4, text, id=text)
+    for text in ["111111010101010", "000001001101000", "000011001100100", "010011001110000"]
+] + [
+    pytest.param(q, 14, 4, "0,1,0,0,1,1,0,0,0,0,1,1,0,0,0", id=f"q{q}-010011000011000")
+    for q in (300, 70000)
+]
+
+
+@pytest.mark.parametrize("q,n,p,text", CYCLES)
+def test_cycles_rejected_like_the_oracle(q, n, p, text):
+    params = derive_params(q, n, p)
+    word = Word(text, q)
     expected = (CorruptCodewordError, "repair records form a cycle")
-    assert _outcome(naive_decode, word, ex_params) == expected
-    assert _outcome(decode, word, ex_params) == expected
+    assert _outcome(naive_decode, word, params) == expected
+    assert _outcome(decode, word, params) == expected
 
 
 def test_inverse_repair_rejects_malformed_records(ex_params):
@@ -429,11 +439,18 @@ def test_wide_alphabets_match_the_oracle(q, n, p):
         assert (y, _steps(trace)) == naive_encode(x, params), name
         assert decode(y, params) == x, name
         assert replay_trace(x, params, trace) == y, name
-        w = Word(np.append(arr, 1), q)
+        states = [Word(np.append(arr, 1), q)]
         for expected in trace.steps:
-            w, step = repair(w, params)
+            w, step = repair(states[-1], params)
             assert step == expected, name
-        assert w == y, name
+            states.append(w)
+        assert states[-1] == y, name
+        # the inverse walk from y visits the same states backwards, down to
+        # the marked message
+        w = y
+        for expected in reversed(states[:-1]):
+            w = inverse_repair(w, params)
+            assert w == expected, name
     # the first index digit of the last record set to q - 1 points past
     # the last window start
     bad = y.symbols.copy()
@@ -473,7 +490,7 @@ def test_resumed_scan_reads_every_window_from_its_start():
                 start + whole.index, whole.least_period
             )
             for size in (2 * l, len(buf)):
-                assert _scan(buf, params, start, size) == expected
+                assert _State(buf, params).scan(start, size) == expected
 
 
 def test_decode_of_marked_codeword_copies_nothing(ex_params):
@@ -532,11 +549,17 @@ def test_repair_loops_stop_at_their_budget(monkeypatch, batched):
     # so the loop runs into its budget of q**4 * (n + 1) = 240 repairs
     calls = []
 
-    def keep_word(state, params, index, record):
+    def keep_rows(state, params, index, period):
         calls.append(index)
-        return state.copy() if batched else None
+        return state.copy()
 
-    monkeypatch.setattr(codec, "_excise_rows" if batched else "_excise", keep_word)
+    def keep_word(state, index, period):
+        calls.append(index)
+
+    if batched:
+        monkeypatch.setattr(codec, "_excise_rows", keep_rows)
+    else:
+        monkeypatch.setattr(_State, "excise", keep_word)
     with pytest.raises(AssertionError, match="exceeded its safety budget"):
         if batched:
             _encode_rows(np.zeros((1, 14), dtype=np.uint8), EX)
@@ -594,6 +617,52 @@ def test_replay_trace_rejects_out_of_range_index(ex_params):
     )
     with pytest.raises(ValueError):
         replay_trace(x, ex_params, forged)
+
+
+@pytest.mark.parametrize(
+    "steps,found",
+    [
+        pytest.param([(3, 3, "010")], "trace step 0", id="wrong period"),
+        pytest.param([(0, 2, "10")], "trace step 0", id="clean window"),
+        pytest.param([], "trace has no step 0", id="empty"),
+    ],
+)
+def test_replay_trace_accepts_only_the_encoders_steps(ex_params, steps, found):
+    # each forged step is in range and its kernel matches the state; only
+    # the encoder's own scan tells these traces from the real one
+    x = Word("10001010101100", 2)
+    assert [
+        (s.index, s.least_period, s.kernel.to_text()) for s in encode(x, ex_params)[1].steps
+    ] == [(3, 2, "01"), (0, 3, "100")]
+    forged = EncodeTrace(tuple(RepairStep(i, d, Word(k, 2)) for i, d, k in steps))
+    expected = f"{found}: the encoder repairs window 3 with period 2"
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        replay_trace(x, ex_params, forged)
+
+
+def test_encode_builds_each_distinct_step_once(monkeypatch):
+    # a periodic message is excised window by window from one index, so its
+    # 125 steps hold few distinct (index, kernel) pairs; the memo of one
+    # encode call builds each once and hands out the same step object
+    params = derive_params(2, 2000, 4)
+    calls = []
+    record = codec._record
+
+    def counting(*args):
+        calls.append(args)
+        return record(*args)
+
+    monkeypatch.setattr(codec, "_record", counting)
+    idx = np.arange(2000)
+    messages = [np.zeros(2000), idx % 2, idx % 3 == 2]
+    for arr, distinct in zip(messages, (1, 1, 3)):
+        calls.clear()
+        steps = encode(Word(arr.astype(np.int64), 2), params)[1].steps
+        assert len(steps) == 125
+        first = {}
+        for step in steps:
+            assert first.setdefault((step.index, step.kernel), step) is step
+        assert len(calls) == len(first) == distinct
 
 
 # -------------------------------------------------------------- statistics
