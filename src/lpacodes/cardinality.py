@@ -8,12 +8,15 @@ Families of words over {0, .., q-1}:
 
 ``count_brute`` is the exact count every closed form is tested against.
 It counts by states rather than words: zero-run words by the length of
-their trailing zero run (O(n k)), window families left to right over the
-last few symbols and one match run per forbidden period, as in
-transfer-matrix counts of pattern-avoiding strings (Guibas and Odlyzko,
-1981).  Where that automaton is nearly as large as the word space (n near
-l near p) it gives way to enumerating all q**n words in lexicographic
-chunks, filtered with vectorized window masks.  The formulas and bounds
+their trailing zero run (O(n k)), window families on a compiled automaton
+whose states are the last few symbols and one match run per forbidden
+period, as in transfer-matrix counts of pattern-avoiding strings (Guibas
+and Odlyzko, 1981).  The automaton is built once, breadth first, into
+arrays of edges; each of the n levels is then a gather, a multiply and a
+sum per target.  Where it would be nearly as large as the word space (n
+near l near p) the build stops within its first levels, before any
+counting, and all q**n words are enumerated in lexicographic chunks
+instead, filtered with vectorized window masks.  The formulas and bounds
 use exact integer/rational arithmetic, rounding analytic expressions
 outward so a bound is never accidentally tightened by floating-point noise.
 """
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -60,13 +62,19 @@ __all__ = [
 
 DEFAULT_BUDGET = 1 << 24
 _CHUNK_ROWS = 1 << 16
-# The state DP gives way to enumeration once it has met q**n // (16 n)
-# states.  Near n ~ l ~ p it meets about as many states as there are words,
-# and a state costs tens of words' worth of enumeration; a state also holds
-# about 1 KB, so at the default budget the DP stays under ~45 MB.  Over 872
-# window queries (q**n up to 2**18) a divisor of 1, 4, 16 or 64 took 14.4,
-# 16.0, 19.2 or 24.4 s in all, against 38.7 s for enumeration alone.
-_STATE_DIVISOR = 16
+# A window family is counted on its automaton when that has at most
+# q**n // 16 states, and at most 2**16, and enumerated otherwise.  A state
+# costs 3-10 us to build and a word 0.2-1 us to enumerate, and on the
+# diagonal n ~ l ~ p the automaton has about as many states as there are
+# words.  Over 1,114 window queries (q = 2..5, q**n up to 2**18; two runs on
+# a 2-vCPU VM) a divisor of 1, 4, 8, 16, 32, 64 or 128 took 24-26, 15-17,
+# 10-11, 8.7-9.2, 8.8-9.1, 10-11 or 12-13 s in all, against 37 s for
+# enumeration alone and 17-19 s for a dict-per-level DP abandoned past
+# q**n // (16 n) states.  A state also holds 500-700 B, so the cap keeps a
+# build under about 45 MB; without it B(2,24,24,18) took 8.9 s and 543 MB
+# on its automaton against 4.4 s and 84 MB by enumeration.
+_WORDS_PER_STATE = 16
+_MAX_STATES = 1 << 16
 
 
 class Family(str, enum.Enum):
@@ -158,12 +166,13 @@ def _count_zero_runs(q: int, n: int, k: int) -> int:
     return sum(ends)
 
 
-def _count_window_states(
-    q: int, n: int, l: int, periods: tuple[int, ...], max_states: int | None
-) -> int | None:
-    """Words with no length-l window of any period in ``periods``, counted
-    left to right over states; None once more than ``max_states`` states
-    have been met.
+def _window_automaton(
+    q: int, l: int, periods: tuple[int, ...], max_states: int | None
+) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+    """The automaton that reads words left to right and rejects any
+    length-l window of a period in ``periods``, built breadth first from the
+    empty word: (states built, edges), with edges None once the build
+    passes, or is projected to pass, ``max_states`` states (None: no limit).
 
     A state is the last max(periods) symbols, relabelled in order of first
     occurrence, plus for each period d the run of consecutive positions i
@@ -171,53 +180,90 @@ def _count_window_states(
     period d.  Both families depend only on which symbols are equal, so a
     state stands for all its relabellings: appending one of the m symbols
     in its tail leads to one state each, appending any of the q - m others
-    leads to the same state, q - m times over.
+    leads to the same state, q - m times over.  A state depends only on the
+    last l - 1 symbols, so every state is met by level l - 1, whatever the
+    word length.
+
+    After each level the build projects its final size: the newest level
+    keeps growing by its last ratio until the tail is full (level
+    max(periods)) and keeps its size from there to level l - 1.  The build
+    gives up rather than add a state past the first ``max_states``.
+
+    State 0 is the empty word and every other state is entered by some
+    edge.  The edges come as arrays sorted by target: source, multiplicity,
+    and where the edges into each of the states 1, 2, .. begin.
     """
+    cap = math.inf if max_states is None else max_states
     depth = max(periods)
     limits = [l - d for d in periods]
-    tail_moves: dict = {}  # tail -> [(multiplicity, next tail, match per period)]
-    moves: dict = {}  # state -> [(next state, multiplicity)]
+    zeros = [0] * len(periods)
+    tail_moves: dict = {}  # tail -> [(multiplicity, next tail, periods matched)]
+    states = [((), tuple(zeros))]
+    ids = {states[0]: 0}
+    src, dst, mult = [], [], []
+    level, begin = 0, 0  # the newest level, and the first state met at it
+    while begin < len(states):
+        end = len(states)
+        for i in range(begin, end):
+            tail, runs = states[i]
+            moves = tail_moves.get(tail)
+            if moves is None:
+                moves = tail_moves[tail] = []
+                m = max(tail) + 1 if tail else 0
+                for s in range(min(m + 1, q)):
+                    nxt = (tail + (s,))[-depth:]
+                    if len(tail) == depth:
+                        seen: dict = {}
+                        nxt = tuple([seen.setdefault(x, len(seen)) for x in nxt])
+                    hits = [j for j, d in enumerate(periods) if len(tail) >= d and tail[-d] == s]
+                    moves.append((1 if s < m else q - m, nxt, hits))
+            for times, nxt, hits in moves:
+                new_runs = zeros[:]
+                for j in hits:
+                    new_runs[j] = runs[j] + 1
+                    if new_runs[j] == limits[j]:
+                        break
+                else:
+                    target = (nxt, tuple(new_runs))
+                    to = ids.setdefault(target, len(states))
+                    if to == len(states):
+                        if to >= cap:
+                            return to, None
+                        states.append(target)
+                    src.append(i)
+                    dst.append(to)
+                    mult.append(times)
+        level += 1
+        size, projected = len(states) - end, len(states)
+        ratio = size / (end - begin)
+        for later in range(level + 1, l):
+            if later <= depth:
+                size *= ratio
+            projected += size
+        if projected > cap:
+            return len(states), None
+        begin = end
+    dst = np.asarray(dst, dtype=np.int64)
+    order = np.argsort(dst, kind="stable")
+    entering = np.bincount(dst, minlength=len(states))[1:]
+    heads = np.concatenate(([0], np.cumsum(entering)[:-1]))
+    return len(states), (np.asarray(src)[order], np.asarray(mult)[order], heads)
 
-    def step_tail(tail):
-        m = max(tail) + 1 if tail else 0
-        out = []
-        for s in range(min(m + 1, q)):
-            nxt = (tail + (s,))[-depth:]
-            if len(tail) == depth:
-                seen: dict = {}
-                nxt = tuple([seen.setdefault(x, len(seen)) for x in nxt])
-            hits = [len(tail) >= d and tail[-d] == s for d in periods]
-            out.append((1 if s < m else q - m, nxt, hits))
-        return out
 
-    def step_state(state):
-        tail, runs = state
-        if tail not in tail_moves:
-            tail_moves[tail] = step_tail(tail)
-        out = []
-        for mult, nxt, hits in tail_moves[tail]:
-            new_runs = []
-            for hit, limit, run in zip(hits, limits, runs):
-                run = run + 1 if hit else 0
-                if run >= limit:
-                    break
-                new_runs.append(run)
-            else:
-                out.append(((nxt, tuple(new_runs)), mult))
-        return out
-
-    level = {((), (0,) * len(periods)): 1}
+def _count_by_levels(
+    states: int, edges: tuple[np.ndarray, np.ndarray, np.ndarray], n: int, dtype
+) -> int:
+    """Words of length n the automaton accepts: n levels of gathering each
+    edge's source count, times its multiplicity, summed per target."""
+    src, mult, heads = edges
+    mult = mult.astype(dtype)
+    counts = np.zeros(states, dtype=dtype)
+    counts[0] = 1
     for _ in range(n):
-        counts: dict = defaultdict(int)
-        for state, count in level.items():
-            if state not in moves:
-                if max_states is not None and len(moves) >= max_states:
-                    return None
-                moves[state] = step_state(state)
-            for target, mult in moves[state]:
-                counts[target] += count * mult
-        level = counts
-    return sum(level.values())
+        nxt = np.zeros_like(counts)
+        nxt[1:] = np.add.reduceat(counts[src] * mult, heads)
+        counts = nxt
+    return int(counts.sum())
 
 
 def _count_exact(
@@ -229,22 +275,24 @@ def _count_exact(
     k: int | None,
     max_states: int | None,
 ) -> tuple[int, str]:
-    """(family size, engine that counted it).  Window families go through
-    the state DP unless it meets more than ``max_states`` states (None: no
-    limit), in which case enumeration counts them instead."""
+    """(family size, engine that counted it).  A window family is counted
+    on its automaton unless the build passes, or is projected to pass,
+    ``max_states`` states (None: no limit); enumeration counts it then.
+    Counts are int64 while q**n fits, Python ints past that."""
     if family is Family.RLL:
         return _count_zero_runs(q, n, k), "zero-run recurrence"
     if l > n:
         return q**n, "every word: no window fits"
-    count = _count_window_states(q, n, l, _forbidden_periods(family, p), max_states)
-    if count is not None:
-        return count, "window-state DP"
-    return _enumerate(family, q, n, l, p), "chunked lexicographic enumeration"
+    states, edges = _window_automaton(q, l, _forbidden_periods(family, p), max_states)
+    if edges is None:
+        return _enumerate(family, q, n, l, p), "chunked lexicographic enumeration"
+    dtype = np.int64 if _within_budget(q, n, 2**63 - 1) else object
+    return _count_by_levels(states, edges, n, dtype), "window-state DP"
 
 
 @lru_cache(maxsize=None)
 def _count_cached(family: Family, q: int, n: int, l: int | None, p: int | None, k: int | None) -> tuple[int, str]:
-    return _count_exact(family, q, n, l, p, k, q**n // (_STATE_DIVISOR * n))
+    return _count_exact(family, q, n, l, p, k, min(q**n // _WORDS_PER_STATE, _MAX_STATES))
 
 
 def _within_budget(q: int, n: int, budget: int) -> bool:

@@ -159,18 +159,69 @@ def test_state_counts_match_enumeration(q, n):
 
 
 def test_engine_choice_each_side():
-    # a DP allowed no states gives way to enumeration, with the same count
+    # a build allowed no states gives way to enumeration, with the same count
     for family, l, p in ((Family.LPA, 6, 3), (Family.PA, 7, 4)):
         dp = card._count_exact(family, 3, 9, l, p, None, None)
         enumerated = card._count_exact(family, 3, 9, l, p, None, 0)
         assert dp[1] == DP and enumerated[1] == ENUMERATED
         assert dp[0] == enumerated[0]
-    # left to itself the library counts by states far from n ~ l ~ p and
-    # enumerates near it, where the automaton is as large as the word space
+    # left to itself the library counts on the automaton wherever it has at
+    # most q**n / 16 states, as B(2,17,12,10) does (1,536 states for 131,072
+    # words), and enumerates on the diagonal n ~ l ~ p, where the automaton
+    # is as large as the word space (B(2,16,16,15): 32,768 states for 65,536
+    # words)
     report = card.build_report(A(2, 18, 6, 3))
     assert (report.exact, report.provenance["exact"]) == (158592, DP)
     report = card.build_report(B(2, 17, 12, 10))
-    assert (report.exact, report.provenance["exact"]) == (34816, ENUMERATED)
+    assert (report.exact, report.provenance["exact"]) == (34816, DP)
+    assert card._count_exact(Family.PA, 2, 17, 12, 10, None, 0) == (34816, ENUMERATED)
+    report = card.build_report(B(2, 16, 16, 15))
+    assert (report.exact, report.provenance["exact"]) == (32768, ENUMERATED)
+    assert card._count_exact(Family.PA, 2, 16, 16, 15, None, None) == (32768, DP)
+
+
+def test_counts_stay_exact_past_int64():
+    # both counts exceed 2**63; int64 arrays would wrap
+    count, engine = card._count_exact(Family.LPA, 2, 70, 40, 3, None, None)
+    assert engine == DP and count > 2**63
+    assert count == card.lpa_count_near_whole(2, 70, 40, 3)
+    count, engine = card._count_exact(Family.PA, 2, 70, 6, 2, None, None)
+    assert engine == DP and count > 2**63
+    assert count == card.pa_count_via_rll(2, 70, 6, 2, 2**80)
+
+
+def chosen_engine(monkeypatch, family, q, n, l, p):
+    """(engine the library picks, [(states built, gave up)] of each build),
+    with enumeration stubbed out and counting on the automaton disabled."""
+    built = []
+    build = card._window_automaton
+
+    def spy(*args):
+        states, edges = build(*args)
+        built.append((states, edges is None))
+        return states, edges
+
+    monkeypatch.setattr(card, "_window_automaton", spy)
+    monkeypatch.setattr(card, "_enumerate", lambda *args: None)
+    monkeypatch.setattr(card, "_count_by_levels", None)  # counting would fail
+    return card._count_cached.__wrapped__(family, q, n, l, p, None)[1], built
+
+
+@pytest.mark.parametrize("family,q,n,l,p", [(Family.LPA, 2, 20, 20, 20), (Family.PA, 2, 22, 21, 20)])
+def test_diagonal_goes_to_enumeration_before_counting(monkeypatch, family, q, n, l, p):
+    # the automaton has at least 2**19 states here; the build projects its
+    # size from its first levels (1, 1 and 2 new states: the tail doubles
+    # each level until it is full) and gives up holding 4 of them
+    assert chosen_engine(monkeypatch, family, q, n, l, p) == (ENUMERATED, [(4, True)])
+
+
+def test_automaton_size_is_capped(monkeypatch):
+    # B(2,24,24,14) has 90,112 states, 1/186 of its 2**24 words, but more
+    # than the cap: projected past it, the build gives up at once
+    engine, built = chosen_engine(monkeypatch, Family.PA, 2, 24, 24, 14)
+    assert engine == ENUMERATED
+    assert [gave_up for _, gave_up in built] == [True]
+    assert built[0][0] <= card._MAX_STATES < 90112 <= 2**24 // card._WORDS_PER_STATE
 
 
 def test_codes_fit_inside_the_counted_family():

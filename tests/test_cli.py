@@ -227,11 +227,13 @@ def test_count_rll_family(capsys):
 
 
 def test_count_json_names_the_engine(capsys):
-    # far from n ~ l ~ p the count runs by states, near it by enumeration;
-    # zero-run words by recurrence (2**40 of them: a 5-step Fibonacci number)
+    # off the diagonal n ~ l ~ p the count runs by states, on it by
+    # enumeration; zero-run words by recurrence (2**40 of them: a 5-step
+    # Fibonacci number)
     for args, exact, engine in (
         (("A", "--n", "18", "--l", "6", "--p", "3"), 158592, "window-state DP"),
-        (("B", "--n", "17", "--l", "12", "--p", "10"), 34816, "chunked lexicographic enumeration"),
+        (("B", "--n", "17", "--l", "12", "--p", "10"), 34816, "window-state DP"),
+        (("B", "--n", "16", "--l", "16", "--p", "15"), 32768, "chunked lexicographic enumeration"),
         (("R", "--n", "40", "--k", "5"), 585029621920, "zero-run recurrence"),
     ):
         code, out, _ = run(
