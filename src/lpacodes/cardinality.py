@@ -133,9 +133,7 @@ def _lex_chunks(q: int, n: int) -> Iterator[np.ndarray]:
 
 def all_words(q: int, n: int) -> Iterator[Word]:
     """All words of length n in lexicographic order.  Caller minds the cost."""
-    if n == 0:
-        yield Word([], q)
-        return
+    _check_alphabet(q)
     for rows in _lex_chunks(q, n):
         for row in rows:
             arr = row.copy()
@@ -339,6 +337,7 @@ def mobius(d: int) -> int:
 
 def pa_count_whole(q: int, n: int, p: int) -> int:
     """Words of length n that do not have period p: q**n - q**p."""
+    _check_alphabet(q)
     if not 1 <= p <= n - 1:
         raise ValueError(f"period must lie in [1, {n - 1}], got {p}")
     return q**n - q**p
@@ -350,6 +349,7 @@ def lpa_count_whole(q: int, n: int, p: int) -> int:
     Moebius inclusion-exclusion over the lattice of short periods; valid
     for n >= 2p - 4.
     """
+    _check_alphabet(q)
     if p < 2:
         raise ValueError(f"period target must be at least 2, got {p}")
     if n < 2 * p - 4:
@@ -377,6 +377,7 @@ def lpa_count_near_whole(q: int, n: int, l: int, p: int) -> int:
     would otherwise admit two disjoint offending windows (e.g. 0000 1111
     at n = 8, l = 4) that the single-stretch argument counts twice.
     """
+    _check_alphabet(q)
     top = min(2 * l - 2 * p + 4, 2 * l - 1)
     if not l <= n <= top:
         raise ValueError(
@@ -393,6 +394,7 @@ def lpa_count_near_whole(q: int, n: int, l: int, p: int) -> int:
 def lpa_count_lower(q: int, n: int, l: int, p: int) -> int:
     """Existence lower bound: floor of q**n * (1 - n / ((q-1) q**(l-p))),
     or 0 where that is negative (a family size is never below 0)."""
+    _check_alphabet(q)
     if l <= p:
         raise ValueError("window length must exceed the period target")
     value = Fraction(q**n) * (1 - Fraction(n, (q - 1) * q ** (l - p)))
@@ -406,6 +408,7 @@ def rll_count_upper(q: int, n: int, k: int) -> int:
     up (with a hair of extra slack so float error can only loosen it).
     Requires n >= 2k.
     """
+    _check_alphabet(q)
     _check_run_length(k)
     if n < 2 * k:
         raise ValueError(f"analytic bound needs n >= 2k = {2 * k}, got {n}")

@@ -12,14 +12,15 @@ marker ``1`` reappears at the end.
 (q, n, p) fix the code: the window l is the least whose l - p - 1 index
 digits can address every window start, n <= q**(l - p - 1) + l - 2.
 
-``encode``, ``decode``, ``repair``, ``inverse_repair`` and ``replay_trace``
-each change one ``_State`` in place: the word under repair, in raw symbol
-bytes, with its scan, excise and restore steps.  No other code knows the
-byte layout.  ``_record`` writes a record and ``_State.restore`` reads
-one back: the record format, written once in each direction.  The
-record's separator blocks and struct formats are immutable tables built
-at the first repair under a parameter set, so a clean message pays for
-none of them.
+``encode``, ``decode``, ``repair`` and ``inverse_repair`` each change
+one ``_State`` in place: the word under repair, in raw symbol bytes,
+with its scan, excise and restore steps.  No other code knows the byte
+layout.  ``_record`` writes a record and ``_State.restore`` reads one
+back: the record format, written once in each direction.  The record's
+separator blocks and struct formats are immutable tables built at the
+first repair under a parameter set, so a clean message pays for none of
+them.  ``replay_trace`` runs ``encode`` and compares its steps with a
+recorded trace, so the repair loop and its resumed scan are written once.
 
 The first scan reads the whole word, since most messages need no
 repair.  After a repair at window ``i``, the symbols before ``i`` are
@@ -565,41 +566,33 @@ def _decode_rows(codewords: np.ndarray, params: LpaParams) -> np.ndarray:
 
 
 def replay_trace(x: Word, params: LpaParams, trace: EncodeTrace) -> Word:
-    """Re-apply a recorded repair sequence to ``x``; returns the codeword.
+    """Check a recorded repair sequence against ``x``; returns the codeword.
 
-    Accepts exactly the trace ``encode`` produces on ``x``: each step must
-    repair the window the encoder repairs next, found by the encoder's own
-    resumed scan, with the kernel found there, and the state after the last
-    step must be clean.  Any other trace raises ValueError, naming the step
-    and the encoder's choice, rather than rebuilding a word ``encode``
-    never returns.
+    Accepts exactly the trace ``encode`` produces on ``x``: ``encode`` runs
+    once, and the trace's steps are compared with its steps in order.  Any
+    other trace raises ValueError at the first difference, naming the step
+    and what the encoder does there, rather than rebuilding a word
+    ``encode`` never returns.
     """
-    _check_word(x, params.n, params.q, "message")
-    state = _State(x.symbols, params, marker=1)
-    start, size = 0, params.n + 1
-    for number, step in enumerate(trace.steps):
-        if not 0 <= step.index <= params.n + 1 - params.l:
-            raise ValueError(f"recorded window index {step.index} is out of range")
-        if not 1 <= step.least_period < params.p:
-            raise ValueError(
-                f"recorded period {step.least_period} is out of range"
-            )
-        choice = state.scan(start, size)
-        if choice != WindowViolation(step.index, step.least_period):
-            raise ValueError(f"trace step {number}: {_next_repair(choice)}")
-        if state.excise(step.index, step.least_period).kernel != step.kernel:
-            raise ValueError("recorded kernel does not match the state")
-        start, size = max(0, step.index - params.l + 1), 2 * params.l
-    if (choice := state.scan(start, size)) is not None:
-        raise ValueError(f"trace has no step {len(trace.steps)}: {_next_repair(choice)}")
-    return state.word()
+    y, encoded = encode(x, params)
+    wanted = encoded.steps + (None,)
+    for number, (step, want) in enumerate(zip(trace.steps, wanted)):
+        if step == want:
+            continue
+        if want is not None and step.index == want.index:
+            if step.least_period == want.least_period:
+                raise ValueError("recorded kernel does not match the state")
+        raise ValueError(f"trace step {number}: {_next_repair(want)}")
+    if (number := len(trace.steps)) < len(encoded.steps):
+        raise ValueError(f"trace has no step {number}: {_next_repair(wanted[number])}")
+    return y
 
 
-def _next_repair(choice: WindowViolation | None) -> str:
-    """What the encoder does next, given its scan's result ``choice``."""
-    if choice is None:
+def _next_repair(want: RepairStep | None) -> str:
+    """What the encoder does at a step: repair ``want``, or stop at None."""
+    if want is None:
         return "the encoder stops, as no window offends"
-    return f"the encoder repairs window {choice.index} with period {choice.least_period}"
+    return f"the encoder repairs window {want.index} with period {want.least_period}"
 
 
 @dataclass(frozen=True)

@@ -605,7 +605,7 @@ def test_replay_trace_rejects_tampering(ex_params):
         )
         + trace.steps[1:]
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^recorded kernel does not match the state$"):
         replay_trace(x, ex_params, forged)
 
 
@@ -619,15 +619,30 @@ def test_replay_trace_rejects_out_of_range_index(ex_params):
         replay_trace(x, ex_params, forged)
 
 
+_FIRST = "the encoder repairs window 3 with period 2"
+
+
 @pytest.mark.parametrize(
-    "steps,found",
+    "steps,found,choice",
     [
-        pytest.param([(3, 3, "010")], "trace step 0", id="wrong period"),
-        pytest.param([(0, 2, "10")], "trace step 0", id="clean window"),
-        pytest.param([], "trace has no step 0", id="empty"),
+        pytest.param([(3, 3, "010")], "trace step 0", _FIRST, id="wrong period"),
+        pytest.param([(0, 2, "10")], "trace step 0", _FIRST, id="clean window"),
+        pytest.param([], "trace has no step 0", _FIRST, id="empty"),
+        pytest.param(
+            [(3, 2, "01"), (0, 3, "100"), (0, 3, "100")],
+            "trace step 2",
+            "the encoder stops, as no window offends",
+            id="last step repeated",
+        ),
+        pytest.param(
+            [(3, 2, "01")],
+            "trace has no step 1",
+            "the encoder repairs window 0 with period 3",
+            id="last step missing",
+        ),
     ],
 )
-def test_replay_trace_accepts_only_the_encoders_steps(ex_params, steps, found):
+def test_replay_trace_accepts_only_the_encoders_steps(ex_params, steps, found, choice):
     # each forged step is in range and its kernel matches the state; only
     # the encoder's own scan tells these traces from the real one
     x = Word("10001010101100", 2)
@@ -635,7 +650,7 @@ def test_replay_trace_accepts_only_the_encoders_steps(ex_params, steps, found):
         (s.index, s.least_period, s.kernel.to_text()) for s in encode(x, ex_params)[1].steps
     ] == [(3, 2, "01"), (0, 3, "100")]
     forged = EncodeTrace(tuple(RepairStep(i, d, Word(k, 2)) for i, d, k in steps))
-    expected = f"{found}: the encoder repairs window 3 with period 2"
+    expected = f"{found}: {choice}"
     with pytest.raises(ValueError, match=f"^{expected}$"):
         replay_trace(x, ex_params, forged)
 

@@ -32,6 +32,7 @@ def _replay_bad_period():
 
 
 W = Word("0110", 2)
+Q1 = "alphabet size must be at least 2, got 1"
 
 CASES = [
     # cardinality
@@ -40,6 +41,15 @@ CASES = [
     ("CountQuery without p", lambda: CountQuery(Family.LPA, 2, 5, l=4),
      Raises(ValueError, "window counts need a period p")),
     ("all_words n = 0", lambda: list(card.all_words(3, 0)), [Word([], 3)]),
+    ("all_words q < 2, n = 0", lambda: list(card.all_words(1, 0)), Raises(ValueError, Q1)),
+    ("all_words q < 2, n = 3", lambda: list(card.all_words(1, 3)), Raises(ValueError, Q1)),
+    ("pa_count_whole q < 2", lambda: card.pa_count_whole(1, 5, 2), Raises(ValueError, Q1)),
+    ("lpa_count_whole q < 2", lambda: card.lpa_count_whole(1, 6, 3), Raises(ValueError, Q1)),
+    ("lpa_count_near_whole q < 2", lambda: card.lpa_count_near_whole(1, 7, 6, 3),
+     Raises(ValueError, Q1)),
+    ("lpa_count_lower q < 2", lambda: card.lpa_count_lower(1, 10, 6, 3),
+     Raises(ValueError, Q1)),
+    ("rll_count_upper q < 2", lambda: card.rll_count_upper(1, 10, 2), Raises(ValueError, Q1)),
     ("mobius(0)", lambda: card.mobius(0),
      Raises(ValueError, "argument must be positive, got 0")),
     ("pa_count_whole p out of range", lambda: card.pa_count_whole(2, 5, 5),
@@ -71,7 +81,7 @@ CASES = [
     ("LpaParams p < 2", lambda: LpaParams(q=2, n=14, p=1, l=8),
      Raises(ValueError, "least-period target must be at least 2, got 1")),
     ("replay_trace period out of range", _replay_bad_period,
-     Raises(ValueError, "recorded period 4 is out of range")),
+     Raises(ValueError, "trace step 0: the encoder repairs window 0 with period 1")),
     # periodicity
     ("Word from a generator", lambda: Word((s for s in (0, 1, 1, 0)), 2), W),
     ("Word from a 2-D array", lambda: Word(np.zeros((2, 2), dtype=np.int64), 2),
