@@ -15,12 +15,15 @@ digits can address every window start, n <= q**(l - p - 1) + l - 2.
 ``encode``, ``decode``, ``repair`` and ``inverse_repair`` each change
 one ``_State`` in place: the word under repair, in raw symbol bytes,
 with its scan, excise and restore steps.  No other code knows the byte
-layout.  ``_record`` writes a record and ``_State.restore`` reads one
-back: the record format, written once in each direction.  The record's
-separator blocks and struct formats are immutable tables built at the
-first repair under a parameter set, so a clean message pays for none of
-them.  ``replay_trace`` runs ``encode`` and compares its steps with a
-recorded trace, so the repair loop and its resumed scan are written once.
+layout.  ``_read_record`` reads a record, for words and rows alike.  Its
+writer has two forms, each measured faster on its side: ``_record`` packs
+one with struct, ``_excise_rows`` writes every row's with a few array
+operations, and ``test_record_writers_agree`` pins them together.  The
+record's separator blocks and struct formats are immutable tables built
+at the first repair under a parameter set, so a clean message pays for
+none of them.  ``replay_trace`` runs ``encode`` and compares its steps
+with a recorded trace, so the repair loop and its resumed scan are
+written once.
 
 The first scan reads the whole word, since most messages need no
 repair.  After a repair at window ``i``, the symbols before ``i`` are
@@ -40,9 +43,8 @@ difference, and copies the state only when the saved copy moves, after
 ``_encode_rows`` and ``_decode_rows`` run the same loops over a matrix of
 short words at once, one word per row (the segments of a segmented
 layout), so a pass costs a few array operations instead of a call per
-row.  ``_excise_rows`` and ``_restore_rows`` are the record format in that
-batched form; each pass rescans every live row whole, since a row is
-shorter than one probe.
+row; each pass rescans every live row whole, since a row is shorter than
+one probe.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -197,11 +199,43 @@ def _record(params: LpaParams, index: int, period: int, kernel: bytes) -> bytes:
     whose least period ``period`` has the kernel bytes ``kernel``: the
     kernel, its separator block, the index digits and the trailing 0.  The
     index digit of place value w is index // w % q, w from
-    ``params._place_values``.  ``_State.restore`` is the one reader."""
+    ``params._place_values``.  ``_read_record`` is the one reader."""
     separators, tail, _ = params._record_format
     q = params.q
     digits = [index // w % q for w in params._place_values]
     return kernel + separators[period] + struct.pack(tail, *digits, 0)
+
+
+def _read_record(
+    params: LpaParams, record: Sequence[int], last: int
+) -> tuple[int, int]:
+    """Window index and period of the repair record ``record``, l symbols
+    as Python ints, in a state whose last window starts at ``last``.  The
+    index is read by Horner's rule, uncapped, where ``_record`` wrote its
+    digits from ``params._place_values``; the period is the place of the
+    kernel block's last nonzero symbol, its separator.
+
+    Raises CorruptCodewordError, in this order, for an index past ``last``,
+    an all-zero kernel block, a separator other than 1, or period 0.
+    """
+    p, q = params.p, params.q
+    index = 0
+    for digit in record[p:-1]:
+        index = index * q + digit
+    if index > last:
+        raise CorruptCodewordError(
+            f"window index {index} exceeds the last window start {last}"
+        )
+    for period in range(p - 1, -1, -1):
+        if record[period] != 0:
+            break
+    else:
+        raise CorruptCodewordError("kernel block is all zero")
+    if record[period] != 1:
+        raise CorruptCodewordError(f"kernel separator must be 1, found {record[period]}")
+    if period < 1:
+        raise CorruptCodewordError("kernel block encodes an impossible period 0")
+    return index, period
 
 
 class _State:
@@ -298,41 +332,13 @@ class _State:
     def restore(self) -> bool:
         """Undo the repair record that fills the last l symbols; the caller
         has checked that the state ends in 0.  Returns whether it ends in 0
-        again, so that another record follows.  The index is read by
-        Horner's rule, uncapped, where ``_record`` wrote its digits from
-        ``params._place_values``.
-
-        Raises CorruptCodewordError when the record cannot have been produced
-        by ``_record``: index out of range, an all-zero kernel block, or a
-        kernel separator other than 1.
-        """
+        again, so that another record follows.  A record ``_record`` cannot
+        have written raises ``_read_record``'s CorruptCodewordError."""
         buf, width, params = self.buf, self.width, self.params
-        l, p, q = params.l, params.p, params.q
+        l = params.l
         end = len(buf) - l * width
         record = struct.unpack_from(params._record_format[2], buf, end)
-        index = 0
-        for digit in record[p:-1]:
-            index = index * q + digit
-        if index > end // width:
-            raise CorruptCodewordError(
-                f"window index {index} exceeds the last window start {end // width}"
-            )
-
-        block = record[:p]
-        period = None
-        for pos in range(p - 1, -1, -1):
-            if block[pos] != 0:
-                period = pos
-                break
-        if period is None:
-            raise CorruptCodewordError("kernel block is all zero")
-        if block[period] != 1:
-            raise CorruptCodewordError(
-                f"kernel separator must be 1, found {block[period]}"
-            )
-        if period < 1:
-            raise CorruptCodewordError("kernel block encodes an impossible period 0")
-
+        index, period = _read_record(params, record, end // width)
         kernel = buf[end : end + period * width]
         del buf[end:]
         at = index * width
@@ -371,12 +377,9 @@ def repair(y: Word, params: LpaParams) -> tuple[Word, RepairStep]:
 
 
 def inverse_repair(y: Word, params: LpaParams) -> Word:
-    """Undo one repair record; ``y`` must end in the step marker 0.
-
-    Raises CorruptCodewordError when the record cannot have been produced
-    by ``repair``: index out of range, an all-zero kernel block, or a
-    kernel separator other than 1.
-    """
+    """Undo one repair record; ``y`` must end in the step marker 0.  A
+    record ``repair`` cannot have written raises ``_read_record``'s
+    CorruptCodewordError."""
     _check_word(y, params.n + 1, params.q, "codeword")
     if y[-1] != 0:
         raise ValueError("inverse repair requires a word ending in 0")
@@ -453,8 +456,9 @@ def _excise_rows(
     """``_State.excise`` on every row of the 2-D ``state`` at once, the
     window of row r at ``index[r]`` with least period ``period[r]``; returns
     the new states as a new array.  The tails move left by one masked
-    select; the index digits come from ``params._place_values``, capped at
-    the row length."""
+    select, and the record block is ``_record``'s.  A digit index // w lies
+    below n + 2, so only q <= n + 1 needs its ``% q``; a wider q may not fit
+    an int64."""
     rows, total = state.shape
     l, p, q = params.l, params.p, params.q
     start = total - l
@@ -466,7 +470,8 @@ def _excise_rows(
     out[:, start : start + p] = np.where(
         slot < period[:, None], kernel, slot == period[:, None]
     )
-    out[:, start + p : -1] = index[:, None] // np.array(params._place_values) % q
+    digits = index[:, None] // np.array(params._place_values)
+    out[:, start + p : -1] = digits % q if q <= params.n + 1 else digits
     out[:, -1] = 0
     return out
 
@@ -474,29 +479,20 @@ def _excise_rows(
 def _restore_rows(state: np.ndarray, params: LpaParams) -> tuple[np.ndarray, np.ndarray]:
     """``_State.restore`` on every row of the 2-D ``state`` at once; returns
     the new states as a new array and which rows were sound: those that end
-    in the step marker 0 and whose record passes its checks.  The other
-    rows of the result are meaningless.  The index is read with
-    ``params._place_values``, split at the last window start."""
+    in the step marker 0 and whose record ``_read_record`` accepts.  The
+    other rows of the result are meaningless."""
     rows, total = state.shape
-    l, p = params.l, params.p
+    l = params.l
     start = total - l
-    block = state[:, start : start + p]
-    period = p - 1 - (block[:, ::-1] != 0).argmax(axis=1)
-    weights = params._place_values
-    # a nonzero digit whose weight (capped or not) passes every window start
-    # puts the index out of range; the others add up to less than q * start
-    high = sum(w > start for w in weights)
-    digits = state[:, start + p : -1].astype(np.int64)
-    index = digits[:, high:] @ np.array(weights[high:], dtype=np.int64)
-    sound = (
-        (state[:, -1] == 0)
-        & ~digits[:, :high].any(axis=1)
-        & (index <= start)
-        & (block[np.arange(rows), period] == 1)  # fails on an all-zero block too
-        & (period >= 1)
-    )
+    sound = state[:, -1] == 0
     # an unsound row's result is dropped; it only has to index in range
-    period, index = np.maximum(period, 1), np.minimum(index, start)
+    index, period = np.zeros(rows, dtype=np.intp), np.ones(rows, dtype=np.intp)
+    live = np.flatnonzero(sound)
+    for r, record in zip(live.tolist(), state[live, start:].tolist()):
+        try:
+            index[r], period[r] = _read_record(params, record, start)
+        except CorruptCodewordError:
+            sound[r] = False
     at = np.arange(rows)[:, None]
     window = state[at, start + np.arange(l) % period[:, None]]
     out = state.copy()

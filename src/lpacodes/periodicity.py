@@ -388,9 +388,9 @@ def difference(w: Word, p: int) -> Word:
     """
     if not 1 <= p < len(w):
         raise ValueError(f"shift must lie in [1, {len(w) - 1}], got {p}")
-    arr = w.symbols.astype(np.int64)
-    out = (arr[:-p] - arr[p:]) % w.q
-    return Word._trusted(out.astype(_dtype_for(w.q)), w.q)
+    # a q past int64 takes Python ints, and Word refuses what it cannot hold
+    arr = w.symbols.astype(np.int64 if w.q < 1 << 63 else object)
+    return Word((arr[:-p] - arr[p:]) % w.q, w.q)
 
 
 def first_violation(w: Word, l: int, p: int) -> WindowViolation | None:

@@ -395,6 +395,94 @@ def test_batched_decode_error_order_across_passes(texts, error):
     assert (got if isinstance(got, str) else None) == error
 
 
+def _kernels(q, d):
+    """Kernels of d symbols: all zeros, all q - 1 and two mixed ones."""
+    return [
+        [0] * d,
+        [q - 1] * d,
+        [(7919 * j + 1) % q for j in range(d)],
+        [(q - 1, 0, 1)[j % 3] for j in range(d)],
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 3, 16, 300, 70000, 2**63])
+def test_record_writers_agree(q):
+    """The record ``_record`` packs with struct is, byte for byte, the record
+    block ``_excise_rows`` writes, for every window index, every period below
+    p and kernels of all zeros, all q - 1 and mixed symbols; the one reader
+    reads back index and period.  At the least window and at a wider one,
+    whose capped place values give leading zero digits.  The rows are filled
+    with q - 1 around each kernel, so a symbol past the period that leaked
+    into the record would show."""
+    n, p = 60, 4
+    least = derive_params(q, n, p).l
+    for l in (least, least + 2):
+        params = LpaParams(q=q, n=n, p=p, l=l)
+        cases = [
+            (i, d, kernel)
+            for i in range(n + 2 - l)
+            for d in range(1, p)
+            for kernel in _kernels(q, d)
+        ]
+        rows = np.full((len(cases), n + 1), q - 1, dtype=params._dtype)
+        for r, (i, d, kernel) in enumerate(cases):
+            rows[r, i : i + d] = kernel
+        index = np.array([i for i, _, _ in cases])
+        period = np.array([d for _, d, _ in cases])
+        out = codec._excise_rows(rows, params, index, period)
+        for r, (i, d, kernel) in enumerate(cases):
+            kernel = np.array(kernel, dtype=params._dtype).tobytes()
+            assert out[r, -l:].tobytes() == codec._record(params, i, d, kernel), (l, i, d)
+            assert codec._read_record(params, out[r, -l:].tolist(), n + 1 - l) == (i, d)
+
+
+def _changed_records(y, l, q):
+    """Every word that differs from ``y`` in one symbol of its last two
+    records, set to 0, 1, q - 1 or one other value."""
+    for pos in range(len(y) - 2 * l, len(y)):
+        old = int(y[pos])
+        for value in sorted({0, 1, q - 1, (old + q // 2) % q} - {old}):
+            w = y.symbols.copy()
+            w[pos] = value
+            yield w
+
+
+@pytest.mark.parametrize("q", [16, 300, 70000])
+def test_batched_decode_fails_like_one_word_decode_at_wide_alphabets(q):
+    """uint8, uint16 and int64 symbols, index digits past one byte: every
+    change of one symbol in the last one or two records of the codewords of
+    the zeros, 0101..., 001... and all-(q - 1) messages decodes, or fails
+    with one error, alike through ``_decode_rows`` (one row, and several)
+    and ``decode``; ``inverse_repair`` undoes or rejects the last record as
+    ``decode``'s first step does."""
+    n, p = 60, 4
+    params = derive_params(q, n, p)
+    idx = np.arange(n)
+    rows = []
+    for arr in (np.zeros(n), idx % 2, idx % 3 == 2, np.full(n, q - 1)):
+        y, trace = encode(Word(arr.astype(np.int64), q), params)
+        assert len(trace.steps) >= 2
+        rows += _changed_records(y, params.l, q)
+    rows = np.array(rows)
+    errors = set()
+    for row in rows:
+        want = _rows_outcome(_one_word_at_a_time, row[None], params)
+        assert _rows_outcome(_decode_rows, row[None], params) == want, row
+        if row[-1] == 0:
+            first = _outcome(inverse_repair, Word(row, q), params)
+            if isinstance(first, tuple):
+                assert first == (CorruptCodewordError, want), row
+            else:
+                assert _rows_outcome(_one_word_at_a_time, first.symbols[None], params) == want
+        if isinstance(want, str):
+            errors.add(want.split(" ")[1])
+    assert errors >= {"index", "block", "separator", "marker"}, errors
+    for start in range(0, len(rows), 5):
+        several = rows[start : start + 5]
+        want = _rows_outcome(_one_word_at_a_time, several, params)
+        assert _rows_outcome(_decode_rows, several, params) == want
+
+
 def _families(n, q, rng):
     idx = np.arange(n)
     tail = np.zeros(n, dtype=np.int64)

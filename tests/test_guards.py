@@ -13,6 +13,7 @@ from lpacodes.cli import main
 from lpacodes.codec import EncodeTrace, LpaParams, RepairStep, replay_trace
 from lpacodes.periodicity import (
     Word,
+    difference,
     extension_symbol,
     is_pa,
     is_rll,
@@ -101,6 +102,15 @@ CASES = [
     ("is_pa word shorter than l", lambda: is_pa(Word("000", 2), 4, 1), True),
     ("is_rll k < 1", lambda: is_rll(W, 0),
      Raises(ValueError, "run length must be at least 1, got 0")),
+    # q = 2**63 does not fit an int64, and past it a difference mod q can
+    # pass the symbols a Word holds
+    ("difference at q = 2**63",
+     lambda: difference(Word([0, 2**62, 0, 2**62 + 1], 2**63), 1),
+     Word([2**62, 2**62, 2**62 - 1], 2**63)),
+    ("difference at q = 2**64", lambda: difference(Word([1, 0], 2**64), 1), Word([1], 2**64)),
+    ("difference past the symbols of q = 2**64",
+     lambda: difference(Word([0, 1], 2**64), 1),
+     Raises(ValueError, f"symbols must lie in [0, {2**63 - 1}]")),
     ("extension_symbol of nothing", lambda: extension_symbol(Word([], 2)),
      Raises(ValueError, "cannot extend an empty word")),
     # cli: usage errors exit 2

@@ -210,6 +210,30 @@ def test_ternary_separator_round_trip():
         assert segmented.decode(y, sp) == x
 
 
+@pytest.mark.parametrize("q", [2**63, 2**64])
+def test_round_trips_where_q_passes_int64(q):
+    """At q >= 2**63 a symbol fills an int64 and q does not fit one: the
+    all-zero and all-(2**63 - 1) messages round trip through one segment and
+    through four, and the batched repair loop gives each row what ``encode``
+    gives it."""
+    top = 2**63 - 1
+    one = segmented.plan(q, 100, 12, 4, Variant.GLUE_ONLY)
+    four = SegmentedParams(Variant.GLUE_ONLY, q, 100, 12, 4, k=4)
+    for sp in (one, four):
+        for value in (0, top):
+            x = Word([value] * 100, q)
+            y = segmented.encode(x, sp)
+            assert naive_window_clean(y.to_list(), sp.l, sp.p)
+            assert segmented.decode(y, sp) == x
+    params = four.base[0]
+    msgs = np.zeros((3, params.n), dtype=np.int64)
+    msgs[1] = top
+    msgs[2, ::2] = top
+    got = codec._encode_rows(msgs, params)
+    assert got.tolist() == [codec.encode(Word(m, q), params)[0].to_list() for m in msgs]
+    assert np.array_equal(codec._decode_rows(got, params), msgs)
+
+
 # ------------------------------------------------ segment-at-a-time oracle
 
 
