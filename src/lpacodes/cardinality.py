@@ -17,8 +17,10 @@ sum per target.  Where it would be nearly as large as the word space (n
 near l near p) the build stops within its first levels, before any
 counting, and all q**n words are enumerated in lexicographic chunks
 instead, filtered with vectorized window masks.  The formulas and bounds
-use exact integer/rational arithmetic, rounding analytic expressions
-outward so a bound is never accidentally tightened by floating-point noise.
+use exact integer arithmetic, rounding analytic expressions outward so a
+bound is never accidentally tightened by floating-point noise; a power of
+q whose exponent grows with n is built by ``_power``, which shifts q's
+factor of 2 out and back, so q = 2 costs one shift instead of a pow.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
@@ -280,7 +281,7 @@ def _count_exact(
     if family is Family.RLL:
         return _count_zero_runs(q, n, k), "zero-run recurrence"
     if l > n:
-        return q**n, "every word: no window fits"
+        return _power(q, n), "every word: no window fits"
     states, edges = _window_automaton(q, l, _forbidden_periods(family, p), max_states)
     if edges is None:
         return _enumerate(family, q, n, l, p), "chunked lexicographic enumeration"
@@ -291,6 +292,13 @@ def _count_exact(
 @lru_cache(maxsize=None)
 def _count_cached(family: Family, q: int, n: int, l: int | None, p: int | None, k: int | None) -> tuple[int, str]:
     return _count_exact(family, q, n, l, p, k, min(q**n // _WORDS_PER_STATE, _MAX_STATES))
+
+
+def _power(q: int, e: int) -> int:
+    """q**e with q's factor 2**a shifted out and back: (q >> a)**e << a*e,
+    so q = 2 or 4 costs one shift and q = 6 only 3**e."""
+    a = (q & -q).bit_length() - 1
+    return (q >> a) ** e << (a * e)
 
 
 def _within_budget(q: int, n: int, budget: int) -> bool:
@@ -340,7 +348,7 @@ def pa_count_whole(q: int, n: int, p: int) -> int:
     _check_alphabet(q)
     if not 1 <= p <= n - 1:
         raise ValueError(f"period must lie in [1, {n - 1}], got {p}")
-    return q**n - q**p
+    return _power(q, n) - q**p
 
 
 def lpa_count_whole(q: int, n: int, p: int) -> int:
@@ -364,7 +372,7 @@ def lpa_count_whole(q: int, n: int, p: int) -> int:
     scaled = q * acc
     if scaled % (q - 1):
         raise AssertionError("short-period count is not divisible as expected")
-    return q**n - scaled // (q - 1)
+    return _power(q, n) - scaled // (q - 1)
 
 
 def lpa_count_near_whole(q: int, n: int, l: int, p: int) -> int:
@@ -383,22 +391,23 @@ def lpa_count_near_whole(q: int, n: int, l: int, p: int) -> int:
         raise ValueError(
             f"extension applies only for {l} <= n <= {top}, got {n}"
         )
-    complement = q**l - lpa_count_whole(q, l, p)
+    complement = _power(q, l) - lpa_count_whole(q, l, p)
     extra = n - l
-    scaled = complement * q**extra * (q + extra * (q - 1))
+    scaled = complement * _power(q, extra) * (q + extra * (q - 1))
     if scaled % q:
         raise AssertionError("scaled complement is not divisible as expected")
-    return q**n - scaled // q
+    return _power(q, n) - scaled // q
 
 
 def lpa_count_lower(q: int, n: int, l: int, p: int) -> int:
-    """Existence lower bound: floor of q**n * (1 - n / ((q-1) q**(l-p))),
-    or 0 where that is negative (a family size is never below 0)."""
+    """Existence lower bound: floor of q**n * (1 - n / D) with
+    D = (q-1) q**(l-p), as one integer floor division, or 0 where D <= n
+    (a family size is never below 0)."""
     _check_alphabet(q)
     if l <= p:
         raise ValueError("window length must exceed the period target")
-    value = Fraction(q**n) * (1 - Fraction(n, (q - 1) * q ** (l - p)))
-    return max(0, math.floor(value))
+    d = (q - 1) * q ** (l - p)
+    return _power(q, n) * (d - n) // d if d > n else 0
 
 
 def rll_count_upper(q: int, n: int, k: int) -> int:
@@ -406,19 +415,25 @@ def rll_count_upper(q: int, n: int, k: int) -> int:
 
     q**(n - c (n - 2k) / q**k) with c = (q-1)^2 / (2 q^2 ln q), rounded
     up (with a hair of extra slack so float error can only loosen it).
+    The exponent's integer part t_int is split off so the fractional power
+    never underflows; that power, a float num/den, and the slack
+    (2**40 + 1) / 2**40 then make one integer ceiling division.
     Requires n >= 2k.
     """
     _check_alphabet(q)
     _check_run_length(k)
     if n < 2 * k:
         raise ValueError(f"analytic bound needs n >= 2k = {2 * k}, got {n}")
-    c = (q - 1) ** 2 / (2 * q * q * math.log(q))
+    try:
+        c = (q - 1) ** 2 / (2 * q * q * math.log(q))
+    except OverflowError:
+        # 2q^2 passes the float range past q ~ 2**511; (1 - 1/q)^2 rounds to
+        # 1 long before that, and q**-k < 2**-511 rounds the power to 1.0.
+        c = 0.5 / math.log(q)
     t = c * (n - 2 * k) * math.exp(-k * math.log(q))
-    # Split off the integer part so the fractional power never underflows.
     t_int = math.floor(t)
-    factor = Fraction(math.exp(-(t - t_int) * math.log(q)))
-    slack = 1 + Fraction(1, 1 << 40)
-    return math.ceil(q ** (n - t_int) * factor * slack)
+    num, den = math.exp(-(t - t_int) * math.log(q)).as_integer_ratio()
+    return -(-_power(q, n - t_int) * num * ((1 << 40) + 1) // (den << 40))
 
 
 def lpa_count_upper(

@@ -11,7 +11,8 @@ are the plain repair loop, which rescans the whole word with the library's
 cross-check the in-place engine (its resumed scan and its shifts), not
 the scan.  The planner's oracles are closed forms: from (q, l, p) alone
 they predict whether a joined layout costs no more than half-window, which
-the library decides from exact plans.
+the library decides from exact plans.  The two analytic bounds are the
+library's integer forms written in ``Fraction`` arithmetic.
 """
 
 import math
@@ -155,6 +156,27 @@ def naive_count(family, q, n, l=None, p=None, k=None):
         )
     member = {"A": naive_window_clean, "B": naive_no_period_p}[family]
     return sum(weight for w, weight in _first_occurrence_words(q, n) if member(w, l, p))
+
+
+def naive_lpa_count_lower(q, n, l, p):
+    """The existence lower bound in rational arithmetic: the floor of
+    q**n * (1 - n / ((q-1) q**(l-p))), or 0 where that is negative."""
+    value = Fraction(q**n) * (1 - Fraction(n, (q - 1) * q ** (l - p)))
+    return max(0, math.floor(value))
+
+
+def naive_rll_count_upper(q, n, k):
+    """The analytic zero-run ceiling in rational arithmetic: q**(n - t)
+    with t = c (n - 2k) / q**k and c = (q-1)^2 / (2 q^2 ln q), its
+    fractional power taken as the exact value of the float, times the
+    slack 1 + 2**-40, rounded up.  c is the float the library computes
+    wherever that does not overflow."""
+    c = (q - 1) ** 2 / (2 * q * q * math.log(q))
+    t = c * (n - 2 * k) * math.exp(-k * math.log(q))
+    t_int = math.floor(t)
+    factor = Fraction(math.exp(-(t - t_int) * math.log(q)))
+    slack = 1 + Fraction(1, 1 << 40)
+    return math.ceil(q ** (n - t_int) * factor * slack)
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -12,7 +13,9 @@ from lpacodes.periodicity import Word
 from helpers import (
     all_tuples,
     naive_count,
+    naive_lpa_count_lower,
     naive_no_period_p,
+    naive_rll_count_upper,
     naive_window_clean,
     naive_zero_run_free,
 )
@@ -366,6 +369,77 @@ def test_rll_upper_bound_large_arguments_stay_sane():
     # must not underflow to zero even when the correction term is huge
     val = card.rll_count_upper(2, 10**4, 1)
     assert 0 < val < 2**10**4
+
+
+def test_power_equals_pow():
+    for q in range(2, 65):
+        for e in range(201):
+            assert card._power(q, e) == q**e, (q, e)
+
+
+def test_bounds_equal_their_rational_oracles():
+    rng = random.Random(28)
+    for _ in range(600):
+        q = rng.choice((2, 3, 4, 5, 6, 8, 16, 300, 2**63))
+        n = rng.randrange(1, 3001)
+        p = rng.randrange(2, 10)
+        l = p + rng.randrange(1, 20)
+        k = rng.randrange(1, 16)
+        assert card.lpa_count_lower(q, n, l, p) == naive_lpa_count_lower(q, n, l, p), (q, n, l, p)
+        if n >= 2 * k:
+            assert card.rll_count_upper(q, n, k) == naive_rll_count_upper(q, n, k), (q, n, k)
+
+
+@pytest.mark.parametrize(
+    "q,n,l,p,expected",
+    [
+        (2, 8, 7, 4, 0),  # D = (q-1) q**(l-p) = 8 = n
+        (2, 100, 7, 4, 0),  # D < n
+        (2, 7, 7, 4, 16),  # D = n + 1: 2**7 / 8
+        (3, 17, 4, 2, 3**15 // 2),  # D = 18 = n + 1, not a whole multiple
+        (2, 3, 10, 4, 7),  # n < l - p: floor(8 * 61 / 64)
+        (2, 6, 10, 4, 58),  # n = l - p: floor(64 * 58 / 64)
+    ],
+)
+def test_lower_bound_edges(q, n, l, p, expected):
+    assert card.lpa_count_lower(q, n, l, p) == expected
+    assert naive_lpa_count_lower(q, n, l, p) == expected
+
+
+@pytest.mark.parametrize(
+    "q,n,k",
+    [
+        (2, 8, 4),  # n = 2k: no exponent cut, q**n plus the slack
+        (5, 6, 3),
+        (2, 10**4, 1),  # t_int = 901
+        (3, 200, 1),
+        (300, 40, 1),
+    ],
+)
+def test_rll_upper_bound_edges(q, n, k):
+    assert card.rll_count_upper(q, n, k) == naive_rll_count_upper(q, n, k)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 6])
+def test_bounds_equal_their_oracles_at_large_n(q):
+    # n = 10**5: q = 2 and 4 build q**n by a shift alone, 6 by 3**n and a
+    # shift, 3 by pow alone
+    n = 10**5
+    assert card.lpa_count_lower(q, n, 20, 4) == naive_lpa_count_lower(q, n, 20, 4)
+    assert card.rll_count_upper(q, n, 9) == naive_rll_count_upper(q, n, 9)
+
+
+def test_rll_upper_bound_past_the_float_range():
+    # 2 q**2 still fits a float at q = 2**511, so c is the oracle's float there
+    q = 2**511
+    assert card.rll_count_upper(q, 10, 2) == naive_rll_count_upper(q, 10, 2)
+    q = 2**600
+    with pytest.raises(OverflowError):
+        naive_rll_count_upper(q, 10, 2)
+    # q**-k leaves nothing to cut: q**n plus the 2**-40 slack
+    assert card.rll_count_upper(q, 10, 2) == q**10 + (q**10 >> 40)
+    assert card.lpa_count_upper(q, 30, 8, 3) == q**2 * card.rll_count_upper(q, 28, 6)
+    assert card.lpa_count_lower(q, 30, 8, 3) == naive_lpa_count_lower(q, 30, 8, 3)
 
 
 def test_upper_bound_falls_back_to_analytic():

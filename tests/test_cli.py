@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from lpacodes import cardinality
+from lpacodes import cardinality, cli
 from lpacodes.cli import main
 from lpacodes.periodicity import Word
 
@@ -291,6 +291,48 @@ def test_count_prints_bounds_past_the_digit_limit(capsys, as_json):
             for key in ("lower_bound", "upper_bound")
         }
     assert 10**4300 < data["lower_bound"] <= data["upper_bound"] < 2**20000
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_report_rendering_matches_str_and_json(capsys, as_json):
+    # the bytes of f"{key}={value}" and json.dumps with the digit limit
+    # lifted, on ints either side of the fast path's threshold, bools (an
+    # int subclass), None, floats, strings, lists and the nested dicts
+    ints = [0, 1, 10**1204, 2**4000 - 1, 2**4000 + 1, 2**20000, 3**600000, -(2**5000) - 7]
+    pairs = [(f"int{i}", value) for i, value in enumerate(ints)] + [
+        ("consistent", True),
+        ("mean_bound_satisfied", False),
+        ("exact", None),
+        ("mean_steps", 0.5390625),
+        ("mean_steps_exact", "69/128"),
+        ("family", "A"),
+        ("segment_lengths", [13, 14, 0]),
+        ("provenance", {"exact": "window-state DP", "lower_bound": "existence bound, floored"}),
+        ("histogram", {"0": 3, "1": 5}),
+        ("candidates", {"HALF": 3, "SEPARATOR": 2}),
+    ]
+    limit = digit_limit()
+    cli._print_report(pairs, as_json)
+    assert digit_limit() == limit
+    if as_json:
+        expected = parse_any_digits(json.dumps, dict(pairs))
+    else:
+        expected = parse_any_digits(lambda ps: "\n".join(f"{k}={v}" for k, v in ps), pairs)
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_count_formula_at_an_alphabet_past_the_float_range(capsys):
+    # 2 q**2 overflows a float at q = 2**600; the analytic ceiling still holds
+    q = 2**600
+    code, out, _ = run(
+        capsys, "count", "--family", "A", "--q", str(q), "--n", "30",
+        "--l", "8", "--p", "3", "--mode", "formula",
+    )
+    assert code == 0
+    fields = dict(line.split("=", 1) for line in out.splitlines())
+    upper = parse_any_digits(int, fields["upper_bound"])
+    assert upper == q**2 * cardinality.rll_count_upper(q, 28, 6)
+    assert parse_any_digits(int, fields["lower_bound"]) <= upper
 
 
 @pytest.mark.parametrize(
