@@ -30,15 +30,20 @@ repair.  After a repair at window ``i``, the symbols before ``i`` are
 unchanged, and every window that starts at ``i - l`` or earlier lies
 among them and was clean, or ``i`` would not have been the first
 offender.  So the next scan resumes at ``i - l + 1``.  It probes slices
-of 2l, 4l, 8l, ... symbols, overlapping by l - 1 so every window lies
+of 2l, 8l, 32l, ... symbols, overlapping by l - 1 so every window lies
 whole in one probe, and takes the rest of the word at once when fewer
 than 16l symbols would be left: a step scans O(l + distance to the next
-offender) symbols, not the whole word.  The tail memmove is O(n) bytes
-per step, in C; it is free for an excision at the front but costs most
-for a restore there.  ``decode``'s cycle guard (Brent's) compares the
-state with a saved copy on every step, a memcmp that stops at the first
-difference, and copies the state only when the saved copy moves, after
-1, 2, 4, ... steps.
+offender) symbols, not the whole word.  The first probe of 2l is where
+a long periodic stretch shows its next window; later probes grow
+4-fold, which reaches a far offender, or the end, in half the probes of
+doubling, for up to about 4 times the symbols it needed instead of 2
+(a one-repair random message of 10^5 symbols takes about 7 probes,
+against 11 by doubling).  The tail memmove is O(n) bytes per step, in C;
+it is free for an excision at the front but costs most for a restore
+there.  ``decode``'s cycle guard (Brent's) compares the state with a
+saved copy on every step, a memcmp that stops at the first difference,
+and copies the state only when the saved copy moves, after 1, 2, 4, ...
+steps.
 
 ``_encode_rows`` and ``_decode_rows`` run the same loops over a matrix of
 short words at once, one word per row (the segments of a segmented
@@ -276,7 +281,7 @@ class _State:
     def scan(self, start: int, size: int) -> WindowViolation | None:
         """First offending window that starts at ``start`` or later, or None.
 
-        Probes slices of ``size``, 2 * size, 4 * size, ... symbols, each
+        Probes slices of ``size``, 4 * size, 16 * size, ... symbols, each
         overlapping the one before by l - 1, so every window lies whole in
         some probe and the leftmost offender of the first probe that finds
         one is the leftmost overall.  A probe that would leave fewer than 16l
@@ -304,7 +309,7 @@ class _State:
                 return WindowViolation(start + found.index, found.least_period)
             if stop == total:
                 return None
-            start, size = stop - l + 1, 2 * size
+            start, size = stop - l + 1, 4 * size
 
     def excise(self, index: int, period: int) -> RepairStep:
         """Delete the window at ``index``, whose least period is ``period``,

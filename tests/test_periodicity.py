@@ -588,6 +588,197 @@ def test_rows_with_period_matches_naive_per_row(q):
                     assert got.tolist() == [not naive_no_period_p(w, l, p) for w in words]
 
 
+# ----------------------------------------------------------- blocked scan
+
+
+def _exact(monkeypatch, fn, *args):
+    """``fn(*args)`` with the four-symbol block filter off, so every shift
+    mask goes whole to the exact run kernel."""
+    with monkeypatch.context() as m:
+        m.setattr(periodicity, "_BLOCKED_ROW", 1 << 62)
+        return fn(*args)
+
+
+def _log_run_calls(monkeypatch):
+    """Make every ``_leftmost_run`` call append (mask length, need) to the
+    list returned."""
+    calls = []
+    run = periodicity._leftmost_run
+
+    def counting(mask, need):
+        calls.append((len(mask), need))
+        return run(mask, need)
+
+    monkeypatch.setattr(periodicity, "_leftmost_run", counting)
+    return calls
+
+
+def _clean_tile(q, l, p, rng):
+    """A random tile of 97 symbols whose cyclic windows of length l have no
+    period below p; any word it tiles has none either."""
+    while True:
+        tile = rng.integers(0, q, size=97).tolist()
+        if naive_first_violation(tile + tile[: l - 1], l, p) is None:
+            return tile
+
+
+def _plant(base, q, at, d, matches, rng):
+    """``base`` with a stretch of ``matches`` + d symbols of least period d
+    written at ``at``, and the symbols on either side set to break it, so
+    the stretch holds exactly ``matches`` matches at shift d."""
+    a, b = rng.choice(q, size=2, replace=False).tolist()
+    seq = list(base)
+    stop = at + matches + d
+    seq[at:stop] = np.resize([a] * (d - 1) + [b], matches + d).tolist()
+    if at:
+        seq[at - 1] = (seq[at - 1 + d] + 1) % q
+    if stop < len(seq):
+        seq[stop] = (seq[stop - d] + 1) % q
+    return seq
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 255, 256])
+def test_blocked_scan_matches_naive_and_exact_kernel(q, monkeypatch):
+    """Words just below, at and above the length from which uint8 words are
+    filtered four symbols at a time, each a clean tiled base with one
+    stretch of d-periodic symbols one match short of a window, just long
+    enough or one match longer, for every period d below p, at four
+    consecutive starts in the middle and at four ending on the last
+    symbol or just before it.  ``first_violation`` and ``is_pa`` agree
+    with the naive scan of the stretch's neighbourhood (the base's windows
+    are clean) and with the exact kernel on the whole word.  l = p + 10
+    gives the largest period a need of 11, the least the filter takes."""
+    rng = np.random.default_rng(59 + q)
+    cut = periodicity._BLOCKED_ROW
+    for p in range(3, 9):
+        l = p + 10
+        tile = _clean_tile(q, l, p, rng)
+        for n in (cut - 1, cut, cut + 1):
+            base = np.resize(tile, n).tolist()
+            for d in range(1, p):
+                for matches in (l - d - 1, l - d, l - d + 1):
+                    span = matches + d
+                    for at in [n // 2 + k for k in range(4)] + [n - span - k for k in range(4)]:
+                        seq = _plant(base, q, at, d, matches, rng)
+                        w = Word(seq, q)
+                        lo, hi = max(at - l - 1, 0), min(at + span + l + 1, n)
+                        near = seq[lo:hi]
+                        want = naive_first_violation(near, l, p)
+                        want = None if want is None else WindowViolation(lo + want[0], want[1])
+                        assert first_violation(w, l, p) == want, (p, n, d, matches, at)
+                        assert _exact(monkeypatch, first_violation, w, l, p) == want
+                        want = naive_no_period_p(near, l, d)
+                        assert is_pa(w, l, d) == want == _exact(monkeypatch, is_pa, w, l, d)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 255, 256])
+def test_blocked_scan_matches_exact_kernel_on_random_words(q, monkeypatch):
+    """Random words, where most candidate stretches are false alarms, and
+    the same words read through a stride of 2 (which the filter leaves to
+    the exact kernel): the leftmost window and its least period agree with
+    the exact kernel for every p from 3 to 8 and several l, from the
+    least the filter takes up."""
+    rng = np.random.default_rng(61 + q)
+    cut = periodicity._BLOCKED_ROW
+    for n in (cut - 1, cut, cut + 1, 3 * cut + 2, 100_003):
+        arr = rng.integers(0, q, size=2 * n).astype(np.uint8)
+        for p in range(3, 9):
+            for l in (p + 10, p + 12, p + 17, p + 24):
+                periods = range(1, p)
+                for row in (arr[:n], arr[n:], arr[::2]):
+                    want = _exact(monkeypatch, periodicity._first_windows, row, l, periods)
+                    assert periodicity._first_windows(row, l, periods) == want
+                    contiguous = np.ascontiguousarray(row)
+                    assert periodicity._first_windows(contiguous, l, periods) == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 255, 256])
+def test_blocked_least_period_below(q, monkeypatch):
+    """The whole word as one window: a word of period d below p, and the
+    same word with one symbol changed at each offset mod 4 at both ends
+    and in the middle, against the naive period test."""
+    rng = np.random.default_rng(67 + q)
+    cut = periodicity._BLOCKED_ROW
+    for n in (cut - 1, cut, cut + 1):
+        for d in range(1, 8):
+            tile = rng.integers(0, q, size=d).tolist()
+            tile[-1] = (tile[0] + 1) % q if d > 1 else tile[-1]
+            periodic = np.resize(tile, n).tolist()
+            for at in [None, 0, 1, 2, 3, n // 2, n // 2 + 1, n - 2, n - 1]:
+                seq = list(periodic)
+                if at is not None:
+                    seq[at] = (seq[at] + 1) % q
+                w = Word(seq, q)
+                for p in range(3, 9):
+                    want = next((pp for pp in range(1, p) if naive_has_period(seq, pp)), None)
+                    assert least_period_below(w, p) == want, (n, d, at, p)
+                    assert _exact(monkeypatch, least_period_below, w, p) == want
+
+
+@pytest.mark.parametrize("q", [300, 70000])
+def test_wide_symbols_take_the_exact_kernel(q, monkeypatch):
+    """uint16 and int64 words of any length keep the exact kernel: every
+    ``_leftmost_run`` call sees a whole shift mask, and the results are
+    the naive ones."""
+    rng = np.random.default_rng(71)
+    cut = periodicity._BLOCKED_ROW
+    l, p = 14, 4
+    tile = _clean_tile(q, l, p, rng)
+    sizes = _log_run_calls(monkeypatch)
+    for n in (cut, 4 * cut + 1):
+        base = np.resize(tile, n).tolist()
+        for d in (2, 3):
+            for at in (n // 2, n // 2 + 1, n - (l - d) - d):
+                seq = _plant(base, q, at, d, l - d, rng)
+                w = Word(seq, q)
+                assert w.symbols.dtype != np.uint8
+                sizes.clear()
+                got = first_violation(w, l, p)
+                lo = max(at - l - 1, 0)
+                want = naive_first_violation(seq[lo : at + 2 * l + 1], l, p)
+                assert (got.index - lo, got.least_period) == want
+                # the word's shift mask, or after a hit that of its prefix
+                # that could still hold an earlier window
+                heads = (n, got.index + l - 1)
+                assert sizes and all(size + l - need in heads for size, need in sizes)
+                sizes.clear()
+                assert not is_pa(w, l, d)
+                assert sizes == [(n - d, l - d)]
+
+
+def _near_misses(n):
+    """Words full of runs a few matches short of a window at l = 25, p = 4:
+    ``0^L 1`` repeated for L = 20 .. 23, and stretches ``(01)^12`` (22
+    matches at shift 2, one short) broken by ``10`` or ``110``."""
+    for zeros in range(20, 24):
+        yield f"0^{zeros}1", np.resize([0] * zeros + [1], n)
+    for gap in ([1, 0], [1, 1, 0]):
+        yield f"(01)^12{gap}", np.resize([0, 1] * 12 + gap, n)
+
+
+def test_blocked_scan_caps_its_candidates(monkeypatch):
+    """On words full of near misses each maximal period looks at no more
+    than ``_BLOCK_MISSES`` candidate stretches before it hands the rest of
+    the word to the exact kernel, with one whole-mask call; the answers are
+    the exact kernel's, and the cap is reached."""
+    n, l, p = 2 * 10**5, 25, 4
+    cap = periodicity._BLOCK_MISSES
+    calls = _log_run_calls(monkeypatch)
+    capped = 0
+    for name, arr in _near_misses(n):
+        w = Word(arr, 2)
+        want = _exact(monkeypatch, first_violation, w, l, p)
+        calls.clear()
+        assert first_violation(w, l, p) == want, name
+        for d in (2, 3):  # the maximal periods below 4
+            sizes = [size for size, need in calls if need == l - d]
+            looks = [size for size in sizes if size <= l - d + 3]
+            assert len(looks) <= cap, (name, d)
+            assert sizes[: len(looks)] == looks and len(sizes) <= len(looks) + 1
+            capped += len(looks) == cap and len(sizes) == cap + 1
+    assert capped
+
+
 # ---------------------------------------------------------- extension_symbol
 
 
