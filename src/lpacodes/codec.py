@@ -15,7 +15,7 @@ digits can address every window start, n <= q**(l - p - 1) + l - 2.
 ``encode``, ``decode``, ``repair`` and ``inverse_repair`` each change
 one ``_State`` in place: the word under repair, in raw symbol bytes,
 with its scan, excise and restore steps.  No other code knows the byte
-layout.  ``_read_record`` reads a record, for words and rows alike.  Its
+layout.  ``_read_record`` is the one record reader.  Its
 writer has two forms, each measured faster on its side: ``_record`` packs
 one with struct, ``_excise_rows`` writes every row's with a few array
 operations, and ``test_record_writers_agree`` pins them together.  The
@@ -40,16 +40,19 @@ doubling, for up to about 4 times the symbols it needed instead of 2
 (a one-repair random message of 10^5 symbols takes about 7 probes,
 against 11 by doubling).  The tail memmove is O(n) bytes per step, in C;
 it is free for an excision at the front but costs most for a restore
-there.  ``decode``'s cycle guard (Brent's) compares the state with a
-saved copy on every step, a memcmp that stops at the first difference,
-and copies the state only when the saved copy moves, after 1, 2, 4, ...
-steps.
+there.  The inverse walk, ``_State.unwind``, is written once, for
+``decode`` and ``_decode_rows`` alike; its cycle guard (Brent's) compares
+the state with a saved copy on every step, a memcmp that stops at the
+first difference, and copies the state only when the saved copy moves,
+after 1, 2, 4, ... steps.
 
-``_encode_rows`` and ``_decode_rows`` run the same loops over a matrix of
-short words at once, one word per row (the segments of a segmented
-layout), so a pass costs a few array operations instead of a call per
-row; each pass rescans every live row whole, since a row is shorter than
-one probe.
+``_encode_rows`` runs the repair loop over a matrix of short words at
+once, one word per row (the segments of a segmented layout), so a pass
+costs a few array operations instead of a call per row; each pass
+rescans every live row whole, since a row is shorter than one probe.
+``_decode_rows`` stacks the rows that do not end in their marker in one
+``_State`` and walks them one at a time: the inverse reads only each
+row's own records, so it needs no batched form.
 """
 
 from __future__ import annotations
@@ -215,7 +218,7 @@ def _read_record(
     params: LpaParams, record: Sequence[int], last: int
 ) -> tuple[int, int]:
     """Window index and period of the repair record ``record``, l symbols
-    as Python ints, in a state whose last window starts at ``last``.  The
+    as Python ints, in a word whose last window starts at ``last``.  The
     index is read by Horner's rule, uncapped, where ``_record`` wrote its
     digits from ``params._place_values``; the period is the place of the
     kernel block's last nonzero symbol, its separator.
@@ -252,7 +255,10 @@ class _State:
     tail, and appends its record from ``_record``; CPython deletes from the
     front of a bytearray by moving its start, so an excision at index 0
     copies nothing.  ``restore`` deletes the last record and inserts the
-    rebuilt window at its index, one memmove of the tail the other way.
+    rebuilt window at its index, one memmove of the tail the other way, and
+    ``unwind`` restores until the marker shows.  Both work on the last
+    n + 1 symbols, the word being decoded: ``_decode_rows`` keeps the rows
+    still to decode before it, and they do not move.
 
     A state lives for one call, and so does its memo, from an excision's
     index and kernel bytes to its step and record: a long periodic stretch
@@ -334,21 +340,46 @@ class _State:
         buf += record
         return step
 
-    def restore(self) -> bool:
+    def restore(self) -> None:
         """Undo the repair record that fills the last l symbols; the caller
-        has checked that the state ends in 0.  Returns whether it ends in 0
-        again, so that another record follows.  A record ``_record`` cannot
-        have written raises ``_read_record``'s CorruptCodewordError."""
+        has checked that the state ends in 0.  Its index is a window start
+        of the last n + 1 symbols.  A record ``_record`` cannot have written
+        raises ``_read_record``'s CorruptCodewordError."""
         buf, width, params = self.buf, self.width, self.params
-        l = params.l
-        end = len(buf) - l * width
+        l, last = params.l, params.n + 1 - params.l
+        end = len(buf) - l * width  # where window ``last`` starts
         record = struct.unpack_from(params._record_format[2], buf, end)
-        index, period = _read_record(params, record, end // width)
+        index, period = _read_record(params, record, last)
         kernel = buf[end : end + period * width]
         del buf[end:]
-        at = index * width
+        at = end - (last - index) * width
         buf[at:at] = (kernel * -(-l // period))[: l * width]
-        return buf.endswith(bytes(width))
+
+    def unwind(self, saved) -> None:
+        """Restore records until the last n + 1 symbols no longer end in 0,
+        then check that they end in the marker 1; ``saved`` holds their
+        bytes now, in any buffer.  A revisited state means they were never
+        produced by the encoder, so the walk raises CorruptCodewordError
+        instead of cycling forever.  The guard is Brent's cycle detection:
+        it keeps one saved state, replaced after 1, 2, 4, ... steps, instead
+        of a copy of every state, and still catches any cycle within a few
+        times its length plus its lead-in.  Each step compares the state
+        with the saved one in place; the state is copied only when the saved
+        one moves and another step follows, so a word one record deep is
+        never copied here."""
+        buf, width = self.buf, self.width
+        size, zero = (self.params.n + 1) * width, bytes(width)
+        lap, steps = 1, 0
+        while buf[-width:] == zero:
+            if steps == lap:
+                saved, lap, steps = buf[-size:], 2 * lap, 0
+            self.restore()
+            if buf.endswith(saved):
+                raise CorruptCodewordError("repair records form a cycle")
+            steps += 1
+        marker = int.from_bytes(buf[-width:], sys.byteorder)
+        if marker != 1:
+            raise CorruptCodewordError(f"trailing marker must be 1, found {marker}")
 
     def word(self) -> Word:
         """The state as a word, a read-only view of ``buf``."""
@@ -425,33 +456,16 @@ def decode(y: Word, params: LpaParams) -> Word:
 
     A codeword that already ends in its marker is returned as a view of
     its first n symbols, without a copy; any other is copied once into a
-    ``_State`` and restored in place.  A revisited state means ``y`` was
-    never produced by the encoder, so the walk raises CorruptCodewordError
-    instead of cycling forever.  The guard is Brent's cycle detection: it
-    keeps one saved state, replaced after 1, 2, 4, ... steps, instead of a
-    copy of every state, and still catches any cycle within a few times
-    its length plus its lead-in.  Each step compares the state with the
-    saved one in place; the state is copied only when the saved one moves
-    and another step follows, so a codeword one record deep is copied once.
+    ``_State`` and walked back in place by ``_State.unwind``, whose cycle
+    guard raises CorruptCodewordError on a walk that revisits a state.
     """
     _check_word(y, params.n + 1, params.q, "codeword")
     arr = y.symbols
-    if arr[-1] == 0:
+    if arr[-1] != 1:
         state = _State(arr, params)
         # the first saved state is the codeword itself, read-only already
-        saved, lap, steps, more = arr.data, 1, 0, True
-        while more:
-            if steps == lap:
-                saved, lap, steps = bytes(state.buf), 2 * lap, 0
-            more = state.restore()
-            if state.buf == saved:
-                raise CorruptCodewordError("repair records form a cycle")
-            steps += 1
+        state.unwind(arr.data)
         arr = state.word().symbols
-    if arr[-1] != 1:
-        raise CorruptCodewordError(
-            f"trailing marker must be 1, found {arr[-1]}"
-        )
     return Word._trusted(arr[: params.n], params.q)
 
 
@@ -481,32 +495,6 @@ def _excise_rows(
     return out
 
 
-def _restore_rows(state: np.ndarray, params: LpaParams) -> tuple[np.ndarray, np.ndarray]:
-    """``_State.restore`` on every row of the 2-D ``state`` at once; returns
-    the new states as a new array and which rows were sound: those that end
-    in the step marker 0 and whose record ``_read_record`` accepts.  The
-    other rows of the result are meaningless."""
-    rows, total = state.shape
-    l = params.l
-    start = total - l
-    sound = state[:, -1] == 0
-    # an unsound row's result is dropped; it only has to index in range
-    index, period = np.zeros(rows, dtype=np.intp), np.ones(rows, dtype=np.intp)
-    live = np.flatnonzero(sound)
-    for r, record in zip(live.tolist(), state[live, start:].tolist()):
-        try:
-            index[r], period[r] = _read_record(params, record, start)
-        except CorruptCodewordError:
-            sound[r] = False
-    at = np.arange(rows)[:, None]
-    window = state[at, start + np.arange(l) % period[:, None]]
-    out = state.copy()
-    after = np.arange(l, total) >= index[:, None] + l
-    np.copyto(out[:, l:], state[:, :start], where=after)
-    out[at, index[:, None] + np.arange(l)] = window
-    return out, sound
-
-
 def _encode_rows(msgs: np.ndarray, params: LpaParams) -> np.ndarray:
     """Codewords of the messages in the rows of the 2-D ``msgs``, each what
     ``encode`` returns for it.  One repair loop serves every row: each pass
@@ -532,37 +520,25 @@ def _encode_rows(msgs: np.ndarray, params: LpaParams) -> np.ndarray:
 
 
 def _decode_rows(codewords: np.ndarray, params: LpaParams) -> np.ndarray:
-    """Messages of the codewords in the rows of the 2-D ``codewords``, each
-    what ``decode`` returns for it.  One inverse loop serves every row that
-    does not end in its marker 1: each pass undoes the last record of all
-    of them in one ``_restore_rows`` and retires the rows that now end in
-    1.  Brent's guard runs on all rows in step, since each takes one step
-    per pass.
-
-    Errors are those of ``decode`` on the rows one by one: a row whose
-    record is unsound or whose state repeats fails and leaves the live set,
-    as a finished row does, and after the loop the lowest failed row goes
-    through ``decode`` to raise its error.
-    """
+    """Messages of the codewords in the rows of the 2-D ``codewords``, in
+    the dtype of ``params``, each what ``decode`` returns for it; the
+    lowest row that fails raises its ``decode`` error.  The rows that do
+    not end in their marker 1 are stacked in one ``_State``, lowest row
+    last.  Lowest first, each is walked by ``_State.unwind`` as the last
+    row of the buffer, so its records index only that row, and then its
+    message is taken off the end."""
     msgs = codewords[:, :-1].copy()
-    failed = np.zeros(len(codewords), dtype=bool)
     live = np.flatnonzero(codewords[:, -1] != 1)
-    state = codewords[live]
-    saved, lap, steps = state, 1, 0
-    while live.size:
-        state, sound = _restore_rows(state, params)
-        ok = sound & ~(state == saved).all(axis=1)
-        done = ok & (state[:, -1] == 1)
-        msgs[live[done]] = state[done, :-1]
-        failed[live[~ok]] = True
-        keep = ok & ~done
-        live, state, saved = live[keep], state[keep], saved[keep]
-        steps += 1
-        if steps == lap:
-            saved, lap, steps = state, 2 * lap, 0
-    if failed.any():
-        decode(Word._trusted(codewords[failed.argmax()], params.q), params)
-        raise AssertionError("decode accepted a codeword its batched form rejects")
+    rows = codewords[live[::-1]]
+    state, out = _State(rows, params), bytearray()
+    buf, width = state.buf, state.width
+    size = params.n * width
+    for row in rows[::-1]:
+        state.unwind(row.data)
+        start = len(buf) - size - width
+        out += buf[start : start + size]
+        del buf[start:]
+    msgs[live] = np.frombuffer(out, msgs.dtype).reshape(-1, params.n)
     return msgs
 
 

@@ -24,11 +24,11 @@ from (q, l, p) alone are a test oracle for that choice, not library code.
 ``encode`` and ``decode`` work on the k - 1 equal segments as one matrix,
 one segment per row, and on the tail as a one-row matrix.  The codec's
 batched repair loop (``codec._encode_rows``) repairs all rows of a matrix
-together, one pass per repair, and drops each row once it is clean; its
-inverse (``codec._decode_rows``) undoes one record in every row per pass
-and drops each row once it ends in its marker 1.  Only a corrupt segment
-goes through ``codec.decode`` on its own, to raise its error.  Every joint
-comes from the matrices of segment flanks in one pass.
+together, one pass per repair, and drops each row once it is clean.
+Decoding (``codec._decode_rows``) walks each row that does not end in its
+marker 1 back with ``decode``'s own inverse walk, ``codec._State.unwind``,
+lowest row first, so a corrupt segment raises ``decode``'s error.  Every
+joint comes from the matrices of segment flanks in one pass.
 """
 
 from __future__ import annotations

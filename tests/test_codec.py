@@ -288,7 +288,7 @@ def _matrix(q, n):
 def test_batched_encode_matches_one_word_encode_exhaustively(q, p, largest):
     """Every message as one row of a single matrix: the batched repair loop
     gives each row the codeword that ``encode`` and the rescan-and-copy
-    oracle give it alone, and the batched inverse gives the message back."""
+    oracle give it alone, and ``_decode_rows`` gives the message back."""
     for n in range(p + 3, largest + 1):
         for l in range(derive_params(q, n, p).l, n + 1):
             params = LpaParams(q=q, n=n, p=p, l=l)
@@ -393,6 +393,34 @@ def test_batched_decode_error_order_across_passes(texts, error):
     got = _rows_outcome(_decode_rows, rows, params)
     assert got == _rows_outcome(_one_word_at_a_time, rows, params)
     assert (got if isinstance(got, str) else None) == error
+
+
+def _one_record_row(params, index):
+    """Zeros, then one record of period 1 and kernel 1 naming ``index``:
+    at index n + 1 - l, the last window start, it decodes to zeros and
+    l - 1 ones."""
+    kernel = np.ones(1, dtype=params._dtype).tobytes()
+    record = np.frombuffer(codec._record(params, index, 1, kernel), params._dtype)
+    return np.concatenate([np.zeros(params.n + 1 - params.l, params._dtype), record])
+
+
+@pytest.mark.parametrize("params", [LpaParams(2, 12, 4, 8), LpaParams(300, 12, 4, 6)])
+@pytest.mark.parametrize("bad", [0, 1])
+def test_batched_decode_bounds_indices_by_each_row(params, bad):
+    """The rows of a matrix are walked one at a time in one buffer: a
+    record index one past its own row's last window start raises, as
+    ``decode`` on that row does, even while later rows follow it in the
+    buffer, and an index equal to that start decodes."""
+    last = params.n + 1 - params.l
+    good = _one_record_row(params, last)
+    rows = np.array([good] * 3)
+    want = [0] * last + [1] * (params.l - 1)
+    assert _rows_outcome(_decode_rows, rows, params) == [want] * 3
+    assert _rows_outcome(_one_word_at_a_time, rows, params) == [want] * 3
+    rows[bad] = _one_record_row(params, last + 1)
+    error = f"window index {last + 1} exceeds the last window start {last}"
+    assert _rows_outcome(_one_word_at_a_time, rows, params) == error
+    assert _rows_outcome(_decode_rows, rows, params) == error
 
 
 def _kernels(q, d):
@@ -654,21 +682,6 @@ def test_repair_loops_stop_at_their_budget(monkeypatch, batched):
         else:
             encode(Word("0" * 14, 2), EX)
     assert len(calls) == 2**4 * 15
-
-
-def test_batched_decode_cross_checks_its_failures(monkeypatch):
-    # a row the batched loop rejects but decode accepts is a defect
-    codewords = _encode_rows(np.zeros((2, 14), dtype=np.uint8), EX)
-    restore_rows = codec._restore_rows
-
-    def reject_row_0(state, params):
-        out, sound = restore_rows(state, params)
-        sound[0] = False
-        return out, sound
-
-    monkeypatch.setattr(codec, "_restore_rows", reject_row_0)
-    with pytest.raises(AssertionError, match="decode accepted a codeword its batched form rejects"):
-        _decode_rows(codewords, EX)
 
 
 # -------------------------------------------------------------- the trace

@@ -357,9 +357,9 @@ def _counting(monkeypatch, name):
 def test_work_only_on_rows_that_need_it(monkeypatch):
     """Deterministic companion of the timing numbers: encode's first repair
     pass excises only the segments whose marked message has an offending
-    window, and decode's first inverse pass touches only the codewords that
-    end in 0; the rest cost nothing, and no segment goes through the
-    one-word ``codec.encode`` or ``codec.decode``."""
+    window, and decode walks only the codewords that end in 0, lowest
+    first, with one restore per repair; the rest cost nothing, and no
+    segment goes through the one-word ``codec.encode`` or ``codec.decode``."""
     sp = segmented.plan(2, 10**4, 12, 4, Variant.GLUE_ONLY)
     x = Word(np.random.default_rng(3).integers(0, 2, size=sp.n), 2)
     starts = np.cumsum((0,) + sp.segment_lengths)
@@ -368,6 +368,10 @@ def test_work_only_on_rows_that_need_it(monkeypatch):
         j for j, w in enumerate(marked) if first_violation(w, sp.base[j].l, sp.p)
     ]
     assert 0 < len(need_repair) < sp.k // 2
+    repairs = [
+        len(codec.encode(x[starts[j] : starts[j + 1]], sp.base[j])[1].steps)
+        for j in need_repair
+    ]
     one_word = [_counting(monkeypatch, name) for name in ("encode", "decode")]
 
     excised = _counting(monkeypatch, "_excise_rows")
@@ -378,14 +382,67 @@ def test_work_only_on_rows_that_need_it(monkeypatch):
     assert all(len(a) >= len(b) for a, b in zip(excised, excised[1:]))
 
     step = sp.segment_lengths[0] + 1 + sp.joint_length
-    ends = [y[j * step + sp.segment_lengths[j]] for j in range(sp.k)]
-    restored = _counting(monkeypatch, "_restore_rows")
+    codewords = [y[j * step : j * step + sp.segment_lengths[j] + 1] for j in range(sp.k)]
+    walked, restores = [], []
+    unwind, restore = codec._State.unwind, codec._State.restore
+
+    def counted_unwind(state, saved):
+        walked.append(bytes(saved))
+        return unwind(state, saved)
+
+    def counted_restore(state):
+        restores.append(len(walked))
+        return restore(state)
+
+    monkeypatch.setattr(codec._State, "unwind", counted_unwind)
+    monkeypatch.setattr(codec._State, "restore", counted_restore)
     assert segmented.decode(y, sp) == x
-    assert len(restored[0]) == ends.count(0) == len(need_repair)
+    ends_in_0 = [j for j, w in enumerate(codewords) if w[-1] == 0]
+    assert ends_in_0 == need_repair
+    assert walked == [codewords[j].symbols.tobytes() for j in need_repair]
+    # each walk restores once per repair of its segment
+    assert [restores.count(walk) for walk in range(1, len(walked) + 1)] == repairs
     assert one_word == [[], []]
 
 
 # ------------------------------------------------------- decode hardening
+
+
+@pytest.mark.parametrize(
+    "segments",
+    [
+        ("sound", "cycle", "sound"),
+        ("cycle", "sound", "sound"),
+        ("sound", "sound", "cycle"),
+        ("all zero", "cycle", "sound"),
+        ("sound", "all zero", "cycle"),
+        ("cycle", "sound", "all zero"),
+    ],
+)
+def test_decode_rejects_a_segment_whose_records_cycle(segments):
+    """Three segments of 14 symbols at l = 8, p = 4, with intact joints
+    built from the forged codewords: a segment whose inverse walk revisits
+    a state, in an equal segment or in the tail, is rejected through
+    ``segmented.decode``, after the error of any earlier damaged segment."""
+    sp = SegmentedParams(Variant.SEPARATOR, q=2, n=42, l=8, p=4, k=3)
+    params = sp.base[0]
+    assert sp.base == (params,) * 3 and (params.n, params.l) == (14, 8)
+    codewords = {
+        "sound": codec.encode(Word("0" * 14, 2), params)[0].to_list(),
+        "cycle": [int(c) for c in "010011001110000"],
+        "all zero": [int(c) for c in "000000001010010"],
+    }
+    errors = {"cycle": "repair records form a cycle", "all zero": "kernel block is all zero"}
+    for name, error in errors.items():
+        with pytest.raises(CorruptCodewordError, match=f"^{error}$"):
+            codec.decode(Word(codewords[name], 2), params)
+    rows = np.array([codewords[name] for name in segments], dtype=np.uint8)
+    heads, tail = rows[:-1], rows[-1:]
+    joined = np.hstack([heads, segmented._joints(sp, heads, tail)])
+    y = Word(np.concatenate([joined.ravel(), tail[0]]), 2)
+    first = next(name for name in segments if name != "sound")
+    with pytest.raises(CorruptCodewordError, match=f"^{errors[first]}$"):
+        segmented.decode(y, sp)
 
 
 def test_decode_checks_length():
