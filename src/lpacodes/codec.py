@@ -39,12 +39,16 @@ a long periodic stretch shows its next window; later probes grow
 doubling, for up to about 4 times the symbols it needed instead of 2
 (a one-repair random message of 10^5 symbols takes about 7 probes,
 against 11 by doubling).  The tail memmove is O(n) bytes per step, in C;
-it is free for an excision at the front but costs most for a restore
-there.  The inverse walk, ``_State.unwind``, is written once, for
-``decode`` and ``_decode_rows`` alike; its cycle guard (Brent's) compares
-the state with a saved copy on every step, a memcmp that stops at the
-first difference, and copies the state only when the saved copy moves,
-after 1, 2, 4, ... steps.
+it is free for an excision at the front, where a long periodic stretch
+is cut away window by window at one index, and ``_State.restore`` undoes
+the run of records that leaves with one insert, so an all-zero codeword
+decodes in O(n) bytes moved.  A lone record, as in a word of scattered
+repairs, still costs one memmove of the tail.  The inverse walk,
+``_State.unwind``, is written once, for ``decode`` and ``_decode_rows``
+alike; its cycle guard (Brent's) compares the state with a saved copy
+after every restore, a memcmp that stops at the first difference, and
+copies the state only when the saved copy moves, after 1, 2, 4, ...
+steps.
 
 ``_encode_rows`` runs the repair loop over a matrix of short words at
 once, one word per row (the segments of a segmented layout), so a pass
@@ -254,11 +258,12 @@ class _State:
     ``params``.  ``excise`` deletes a window's bytes, one memmove of the
     tail, and appends its record from ``_record``; CPython deletes from the
     front of a bytearray by moving its start, so an excision at index 0
-    copies nothing.  ``restore`` deletes the last record and inserts the
-    rebuilt window at its index, one memmove of the tail the other way, and
-    ``unwind`` restores until the marker shows.  Both work on the last
-    n + 1 symbols, the word being decoded: ``_decode_rows`` keeps the rows
-    still to decode before it, and they do not move.
+    copies nothing.  ``restore`` deletes the last record, with the run of
+    records before it at the same index, and inserts their rebuilt windows
+    at that index, one memmove of the tail the other way, and ``unwind``
+    restores until the marker shows.  Both work on the last n + 1 symbols,
+    the word being decoded: ``_decode_rows`` keeps the rows still to
+    decode before it, and they do not move.
 
     A state lives for one call, and so does its memo, from an excision's
     index and kernel bytes to its step and record: a long periodic stretch
@@ -270,7 +275,7 @@ class _State:
     and ``word()`` is taken once the edits are done.
     """
 
-    __slots__ = ("buf", "params", "width", "known")
+    __slots__ = ("buf", "params", "width", "known", "undone")
 
     def __init__(
         self, symbols: np.ndarray, params: LpaParams, marker: int | None = None
@@ -281,6 +286,7 @@ class _State:
         self.params = params
         self.width = params._dtype.itemsize
         self.known: dict[tuple[int, bytes], tuple[RepairStep, bytes]] = {}
+        self.undone = -1
         if marker is not None:
             self.buf += marker.to_bytes(self.width, sys.byteorder)
 
@@ -340,20 +346,83 @@ class _State:
         buf += record
         return step
 
-    def restore(self) -> None:
-        """Undo the repair record that fills the last l symbols; the caller
-        has checked that the state ends in 0.  Its index is a window start
-        of the last n + 1 symbols.  A record ``_record`` cannot have written
-        raises ``_read_record``'s CorruptCodewordError."""
+    def restore(self) -> int:
+        """Undo the repair record that fills the last l symbols; returns how
+        many records it undid.  The caller has checked that the state ends
+        in 0.  The index is a window start of the last n + 1 symbols.  A
+        record ``_record`` cannot have written raises ``_read_record``'s
+        CorruptCodewordError, as on a walk one record at a time.
+
+        When the record undone just before named the same index i, this
+        one is undone with the run of records before it at i (``_run``).
+        Undone one at a time, each rebuilt window goes in at i, so K
+        records take one ``del`` and one insert of their windows at i,
+        oldest first, while an insert at i leaves the records not yet
+        undone whole: K <= (n + 1 - i) / l.  A run's first record is undone
+        alone, so a step looks for a run with one int compare; comparing
+        the block before the last record instead measured 7-10% slower on
+        scattered repairs, which have no runs.  A fresh state's first
+        restore undoes one record, all ``inverse_repair`` asks of it."""
         buf, width, params = self.buf, self.width, self.params
         l, last = params.l, params.n + 1 - params.l
-        end = len(buf) - l * width  # where window ``last`` starts
+        size = l * width
+        end = len(buf) - size  # where window ``last`` starts
         record = struct.unpack_from(params._record_format[2], buf, end)
         index, period = _read_record(params, record, last)
-        kernel = buf[end : end + period * width]
-        del buf[end:]
+        window = (buf[end : end + period * width] * -(-l // period))[:size]
+        count = 1
+        if index == self.undone and index <= last - l:
+            count, window = self._run(window, (last - index) // l + 1)
+        self.undone = index
+        del buf[-count * size :]
         at = end - (last - index) * width
-        buf[at:at] = (kernel * -(-l // period))[: l * width]
+        buf[at:at] = window
+        return count
+
+    def _run(self, window: bytes, most: int) -> tuple[int, bytes]:
+        """The trailing run of records of ``restore``, at most ``most`` of
+        them, and their rebuilt windows in one block, oldest first; the
+        last record's window is ``window``.
+
+        Going back from the end, each record that holds the last one's
+        index field (and so its trailing 0) is read with ``_read_record``,
+        in the stepwise walk's order, until one equals the last record
+        byte for byte: the run then repeats those c records, and the
+        encoder's runs have c < p, as the kernels of one periodic stretch
+        take at most its period's phases.  How far the repeats go is found
+        by galloping compares of the run with itself shifted by c records,
+        so c records are read and O(K l) symbols compared in all.  With no
+        repeat among the first p records, those p are the run.
+        """
+        buf, width, params = self.buf, self.width, self.params
+        l, p, last = params.l, params.p, params.n + 1 - params.l
+        size, fmt, mark = l * width, params._record_format[2], p * width
+        total = len(buf)
+        end = total - size
+        field, record, windows = buf[end + mark :], buf[end:], [window]
+        while (count := len(windows)) < min(most, p):
+            at = end - count * size
+            if buf[at + mark : at + size] != field:
+                break
+            if buf[at : at + size] == record:
+                # the last ``good`` records repeat every ``count`` records,
+                # and the last ``bad`` do not, or ``bad`` is ``most`` + 1
+                shift = count * size
+                good, bad, step = count + 1, most + 1, 1
+                with memoryview(buf) as view:
+                    while good + 1 < bad:
+                        new = min(good + step if bad > most else (good + bad) // 2, most)
+                        lo, hi = total - new * size, total - good * size
+                        if buf.startswith(view[lo + shift : hi + shift], lo):
+                            good, step = new, 2 * step
+                        else:
+                            bad = new
+                count = good
+                break
+            _, period = _read_record(params, struct.unpack_from(fmt, buf, at), last)
+            windows.append((buf[at : at + period * width] * -(-l // period))[:size])
+        block = b"".join(reversed(windows))
+        return count, (block * -(-count // len(windows)))[-count * size :]
 
     def unwind(self, saved) -> None:
         """Restore records until the last n + 1 symbols no longer end in 0,
@@ -363,18 +432,25 @@ class _State:
         instead of cycling forever.  The guard is Brent's cycle detection:
         it keeps one saved state, replaced after 1, 2, 4, ... steps, instead
         of a copy of every state, and still catches any cycle within a few
-        times its length plus its lead-in.  Each step compares the state
-        with the saved one in place; the state is copied only when the saved
-        one moves and another step follows, so a word one record deep is
-        never copied here."""
+        times its length plus its lead-in.  A step is one ``restore``, one
+        record or a run of them, as fixed by the state and the index undone
+        before it: the walk over those pairs is a function on a finite set,
+        so it cycles whenever the walk one record at a time does, and two
+        equal states mean that walk cycles.  Each step compares the state
+        with the saved one in place, by ``==`` when the buffer holds this
+        one word and by the slower suffix compare when rows are stacked
+        before it; the state is copied only when the saved one moves and
+        another step follows, so a word one record deep is never copied
+        here."""
         buf, width = self.buf, self.width
         size, zero = (self.params.n + 1) * width, bytes(width)
+        stacked = len(buf) > size
         lap, steps = 1, 0
         while buf[-width:] == zero:
             if steps == lap:
                 saved, lap, steps = buf[-size:], 2 * lap, 0
             self.restore()
-            if buf.endswith(saved):
+            if buf.endswith(saved) if stacked else buf == saved:
                 raise CorruptCodewordError("repair records form a cycle")
             steps += 1
         marker = int.from_bytes(buf[-width:], sys.byteorder)
@@ -456,8 +532,9 @@ def decode(y: Word, params: LpaParams) -> Word:
 
     A codeword that already ends in its marker is returned as a view of
     its first n symbols, without a copy; any other is copied once into a
-    ``_State`` and walked back in place by ``_State.unwind``, whose cycle
-    guard raises CorruptCodewordError on a walk that revisits a state.
+    ``_State`` and walked back in place by ``_State.unwind``, one run of
+    records at one index per step, whose cycle guard raises
+    CorruptCodewordError on a walk that revisits a state.
     """
     _check_word(y, params.n + 1, params.q, "codeword")
     arr = y.symbols

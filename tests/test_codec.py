@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -575,6 +576,106 @@ def test_wide_alphabets_match_the_oracle(q, n, p):
     expected = _outcome(naive_decode, corrupt, params)
     assert expected[0] is CorruptCodewordError
     assert _outcome(decode, corrupt, params) == expected
+
+
+# ------------------------------------------- runs of equal-index records
+
+
+def _run_codewords(q, n, p):
+    """The parameters, and the zeros, 0101... and 001... messages with
+    their codewords and traces: each codeword is one run of records at
+    window index 0 after a few symbols of its marked message."""
+    params = derive_params(q, n, p)
+    idx = np.arange(n)
+    messages = [Word(arr.astype(np.int64), q) for arr in (np.zeros(n), idx % 2, idx % 3 == 2)]
+    return params, [(x, *encode(x, params)) for x in messages]
+
+
+@pytest.mark.parametrize("q,n,p", [(2, 300, 4), (3, 200, 4)])
+def test_every_symbol_change_of_a_run_decodes_like_the_oracle(q, n, p):
+    """Every word one symbol away from a codeword that is one run of
+    records decodes, or fails with the same text, as the stepwise oracle
+    does: damaged records in the middle of a run and at its ends, damaged
+    index digits, runs cut short by a record that names another index,
+    and walks that cycle."""
+    params, encoded = _run_codewords(q, n, p)
+    outcomes = set()
+    for _, y, trace in encoded:
+        assert {step.index for step in trace.steps} == {0}
+        assert len(trace.steps) == (n + 1) // params.l
+        for pos in range(n + 1):
+            for value in range(q):
+                if value == y[pos]:
+                    continue
+                w = y.symbols.copy()
+                w[pos] = value
+                word = Word(w, q)
+                want = _outcome(naive_decode, word, params)
+                assert _outcome(decode, word, params) == want, (pos, value)
+                outcomes.add(want[1].split(" ")[1] if isinstance(want, tuple) else "decodes")
+    # a binary symbol that is not 0 is 1: no bad separator or marker there
+    kinds = {2: {"index"}, 3: {"separator", "marker", "records"}}[q]
+    assert outcomes >= {"decodes", "block"} | kinds, outcomes
+
+
+@pytest.mark.parametrize("q,n,p", [(2, 300, 4), (3, 200, 4)])
+def test_run_with_too_little_room_decodes_like_the_oracle(q, n, p):
+    """The all-zero codeword with its last k records rewritten to name
+    index i, for every i > n + 1 - k l, decodes or fails as the stepwise
+    oracle does.  Once a run is under way at i, one restore may undo only
+    the (n + 1 - i) // l records that an insert at i leaves whole, and
+    those undo to what as many single steps give; the records before
+    them would be split by the inserts."""
+    params, [(_, y, trace), *_] = _run_codewords(q, n, p)
+    l, width = params.l, params.index_width
+    records = len(trace.steps)
+    for k in (2, records // 2, records):
+        for i in range(n + 2 - k * l, n + 2 - l):
+            digits = [i // q**j % q for j in reversed(range(width))]
+            w = y.symbols.copy()
+            for end in range(n + 1, n + 1 - k * l, -l):
+                w[end - 1 - width : end - 1] = digits
+            word = Word(w, q)
+            assert _outcome(decode, word, params) == _outcome(naive_decode, word, params), (k, i)
+            room = (n + 1 - i) // l
+            state = _State(w, params)
+            state.undone = i  # as if a record at i had just been undone
+            assert state.restore() == room < k, (k, i)
+            for _ in range(room):
+                word = naive_inverse_repair(word, params)
+            assert state.word() == word, (k, i)
+
+
+def test_a_run_is_read_once_per_distinct_record(monkeypatch):
+    """Deterministic companion of the decode timings: the codewords of the
+    zeros, 0101... and 001... messages at n = 10^4 and 10^5 are each one
+    run of 526 and 4,545 records at index 0.  Decode undoes its first
+    record alone and the rest in one restore, which reads the run's
+    distinct records only, one per phase of the message's period d at
+    shifts of l, d / gcd(d, l) of them, and compares the rest as bytes.  A
+    walk one record at a time reads every record."""
+    reads, undone = [], []
+    read, restore = codec._read_record, _State.restore
+
+    def counted_read(*args):
+        reads.append(args[1])
+        return read(*args)
+
+    def counted_restore(state):
+        undone.append(restore(state))
+        return undone[-1]
+
+    monkeypatch.setattr(codec, "_read_record", counted_read)
+    monkeypatch.setattr(_State, "restore", counted_restore)
+    for n, records in ((10**4, 526), (10**5, 4545)):
+        params, encoded = _run_codewords(2, n, 4)
+        for d, (x, y, trace) in zip((1, 2, 3), encoded):
+            assert len(trace.steps) == records
+            reads.clear()
+            undone.clear()
+            assert decode(y, params) == x
+            assert undone == [1, records - 1]
+            assert len(reads) == 1 + d // math.gcd(d, params.l) <= params.p
 
 
 def test_parameters_hold_no_state():

@@ -358,7 +358,7 @@ def test_work_only_on_rows_that_need_it(monkeypatch):
     """Deterministic companion of the timing numbers: encode's first repair
     pass excises only the segments whose marked message has an offending
     window, and decode walks only the codewords that end in 0, lowest
-    first, with one restore per repair; the rest cost nothing, and no
+    first, undoing one record per repair; the rest cost nothing, and no
     segment goes through the one-word ``codec.encode`` or ``codec.decode``."""
     sp = segmented.plan(2, 10**4, 12, 4, Variant.GLUE_ONLY)
     x = Word(np.random.default_rng(3).integers(0, 2, size=sp.n), 2)
@@ -383,7 +383,7 @@ def test_work_only_on_rows_that_need_it(monkeypatch):
 
     step = sp.segment_lengths[0] + 1 + sp.joint_length
     codewords = [y[j * step : j * step + sp.segment_lengths[j] + 1] for j in range(sp.k)]
-    walked, restores = [], []
+    walked, undone = [], []
     unwind, restore = codec._State.unwind, codec._State.restore
 
     def counted_unwind(state, saved):
@@ -391,8 +391,9 @@ def test_work_only_on_rows_that_need_it(monkeypatch):
         return unwind(state, saved)
 
     def counted_restore(state):
-        restores.append(len(walked))
-        return restore(state)
+        count = restore(state)
+        undone.append((len(walked), count))
+        return count
 
     monkeypatch.setattr(codec._State, "unwind", counted_unwind)
     monkeypatch.setattr(codec._State, "restore", counted_restore)
@@ -400,8 +401,11 @@ def test_work_only_on_rows_that_need_it(monkeypatch):
     ends_in_0 = [j for j, w in enumerate(codewords) if w[-1] == 0]
     assert ends_in_0 == need_repair
     assert walked == [codewords[j].symbols.tobytes() for j in need_repair]
-    # each walk restores once per repair of its segment
-    assert [restores.count(walk) for walk in range(1, len(walked) + 1)] == repairs
+    # each walk undoes one record per repair of its segment
+    totals = [0] * len(walked)
+    for walk, count in undone:
+        totals[walk - 1] += count
+    assert totals == repairs
     assert one_word == [[], []]
 
 
